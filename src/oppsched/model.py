@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
+from .randomize import cumulative
 
 PROB_TOL = 1e-12
 
@@ -81,9 +82,7 @@ class Model:
         return self.states.labels[s]
 
     def cumulative(self) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        cum[-1] = max(cum[-1], 1.0)
-        return cum
+        return cumulative(self.probs)
 
 
 @dataclass(frozen=True)

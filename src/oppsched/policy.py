@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, MembershipError
 from .model import Model, validate
-from .randomize import RandSource, slot_uniform
+from .randomize import RandSource, cumulative, slot_uniform
 from .region import RateRegion, TargetDecomposition, decompose, membership
 
 
@@ -121,12 +121,7 @@ class RandomizedStationaryPolicy(Policy):
 
     @cached_property
     def _cums(self) -> tuple[np.ndarray, ...]:
-        cums = []
-        for w in self.weights:
-            c = np.cumsum(w)
-            c[-1] = max(c[-1], 1.0)
-            cums.append(c)
-        return tuple(cums)
+        return tuple(cumulative(w) for w in self.weights)
 
     def select(self, model, states, u, queue=None):
         return int(np.searchsorted(self._cums[states[-1]], u, side="left")), False
@@ -171,8 +166,9 @@ class MaxWeightPolicy(Policy):
     uses_randomness = False
 
     def select(self, model, states, u, queue=None):
-        q = np.zeros(model.m) if queue is None else queue
-        return max_weight(q, model.options[states[-1]]), False
+        # The backlog comes from the slot engine or from ``decide``, which
+        # checks it; the bare argmax keeps the per-slot loop cheap.
+        return int(np.argmax(model.options[states[-1]] @ queue)), False
 
     def slot_mean(self, model, prefix=(), queue=None):
         q = np.zeros(model.m) if queue is None else queue
@@ -236,8 +232,12 @@ def decide(policy: Policy, model: Model, hist: History, src: RandSource) -> int:
     s = hist.current
     if not (0 <= s < model.n_states):
         raise InputError(f"state index {s} out of range")
+    queue = None
+    if policy.uses_queue:
+        queue = np.zeros(model.m) if hist.queue is None else np.asarray(hist.queue, float)
+        if queue.shape != (model.m,) or np.any(queue < 0):
+            raise InputError(f"queue must be a nonnegative vector of length {model.m}")
     u = slot_uniform(src, hist.k)
-    queue = hist.queue if policy.uses_queue else None
     idx, _ = policy.select(model, hist.states, u, queue)
     if not (0 <= idx < model.options[s].shape[0]):
         raise InputError(f"policy produced invalid option {idx} for state {s}")

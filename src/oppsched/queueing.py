@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 from .model import Model
 from .policy import MaxWeightPolicy
-from .randomize import RandSource, slot_uniforms
+from .randomize import MAX_SLOT, RandSource, slot_uniforms
 from .region import RateRegion, rate_region, shortfall, support
 from .sim import Trace, run
 
@@ -72,6 +72,11 @@ class BernoulliArrivals:
         return self.prob * self.batch
 
     def sample_all(self, horizon: int, m: int, src: RandSource) -> np.ndarray:
+        if horizon * m > MAX_SLOT:
+            raise InputError(
+                f"{horizon} slots of {m} arrival components need more than "
+                f"{MAX_SLOT} slot uniforms"
+            )
         ks = np.arange(1, horizon * m + 1, dtype=np.uint64)
         us = slot_uniforms(src, ks).reshape(horizon, m)
         return np.where(us < self.prob, self.batch, 0.0)

@@ -19,14 +19,17 @@ from .errors import InputError
 
 DEFAULT_DEPTH = 53
 
+# Largest slot index at the default depth: past it, t(t+1) in the Cantor
+# pairing overflows uint64 and the digit sets of different slots collide.
+MAX_SLOT = (1 << 32) - DEFAULT_DEPTH
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# 2^-(i+1) for i = 0..depth-1; subset sums of these are exact in float64.
-_BIT_WEIGHTS = 0.5 ** (1.0 + np.arange(DEFAULT_DEPTH))
-
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# (seed, slot) rows per block of digit arithmetic; bounds the working set to
+# a few MB whatever the number of slots or seeds.
+_ROWS = 8192
 
 
 def cantor_pair(k, i):
@@ -36,48 +39,75 @@ def cantor_pair(k, i):
         return ((t * (t + np.uint64(1))) >> np.uint64(1)) + np.asarray(i, dtype=np.uint64)
 
 
+def _check_slots(ks, depth: int) -> np.ndarray:
+    ks = np.asarray(ks)
+    if ks.size and int(ks.min()) < 1:
+        raise InputError("slot indices must be >= 1")
+    if ks.size and int(ks.max()) + depth - 1 >= 1 << 32:
+        raise InputError(
+            f"slot index {int(ks.max())} is too large for depth {depth}: "
+            "its digit positions would overflow the Cantor pairing"
+        )
+    return ks.astype(np.uint64)
+
+
 def bit_positions(k: int, depth: int = DEFAULT_DEPTH) -> np.ndarray:
     """Digit positions of R consumed by the slot-k uniform."""
-    if k < 1:
-        raise InputError(f"slot index must be >= 1, got {k}")
-    ks = np.full(depth, k, dtype=np.uint64)
+    ks = _check_slots([k], depth)
     return cantor_pair(ks, np.arange(depth, dtype=np.uint64))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # 64-bit wraparound is the point
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z = z ^ (z >> np.uint64(30))
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
+
+
+def _words(seeds: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Counter-based word stream: 64-bit word j of a seed mixes seed + (j+1)*golden."""
+    with np.errstate(over="ignore"):
+        return _mix64(seeds + (idx + np.uint64(1)) * _GOLDEN)
+
+
+def _uniforms(seeds, ks, depth: int = DEFAULT_DEPTH) -> np.ndarray:
+    """U_k = sum of digit(pair(k, i)) * 2^-(i+1) over i < depth, for every
+    seed and slot: a (len(seeds), len(ks)) array.
+
+    The only place digits are read.  Each term is a distinct power of two, so
+    the sum is exact in float64 whatever the summation order.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    ks = _check_slots(np.ravel(ks), depth)
+    n_k = ks.size
+    out = np.empty(seeds.size * n_k)
+    i = np.arange(depth, dtype=np.uint64)
+    weights = 0.5 ** (1.0 + np.arange(depth))
+    for lo in range(0, out.size, _ROWS):
+        rows = np.arange(lo, min(lo + _ROWS, out.size))
+        pos = cantor_pair(ks[rows % n_k, None], i)
+        words = _words(seeds[rows // n_k, None], pos >> np.uint64(6))
+        words >>= pos & np.uint64(63)
+        words &= np.uint64(1)
+        out[lo : lo + rows.size] = words.astype(np.float64) @ weights
+    return out.reshape(seeds.size, n_k)
 
 
 @dataclass(frozen=True)
 class RandSource:
     """One randomization variable, addressed by 64-bit seed.
 
-    ``bit(i)`` is the i-th binary digit of the conceptual R; it depends only on
-    (seed, i), so values reproduce across runs and platforms.
+    Digit i of the conceptual R depends only on (seed, i), so values
+    reproduce across runs and platforms.
     """
 
     seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
-
-    def _words(self, idx: np.ndarray) -> np.ndarray:
-        # Counter-based: 64-bit word j mixes seed + (j+1)*golden.
-        s = np.uint64(self.seed)
-        with np.errstate(over="ignore"):
-            return _mix64(s + (idx + np.uint64(1)) * _GOLDEN)
-
-    def bits(self, positions: np.ndarray) -> np.ndarray:
-        """Digits of R at the given positions, as a 0/1 array."""
-        positions = np.asarray(positions, dtype=np.uint64)
-        words = self._words(positions >> np.uint64(6))
-        return ((words >> (positions & np.uint64(63))) & np.uint64(1)).astype(np.float64)
-
-    def bit(self, i: int) -> int:
-        return int(self.bits(np.array([i], dtype=np.uint64))[0])
 
     def uniform(self, k: int, depth: int = DEFAULT_DEPTH) -> float:
         """The slot-k uniform U_k in [0, 1)."""
@@ -97,63 +127,12 @@ class RandSource:
 
 def slot_uniform(src: RandSource, k: int, depth: int = DEFAULT_DEPTH) -> float:
     """U_k = sum of bit(pair(k, i)) * 2^-(i+1) over i < depth."""
-    bits = src.bits(bit_positions(k, depth))
-    return float(bits @ _weights(depth))
-
-
-# Seed-independent word multipliers and bit offsets for slots 1..n, cached
-# because long runs reuse the same slot layout with different seeds.
-_BATCH_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _contiguous_tables(count: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (count, depth)
-    hit = _BATCH_CACHE.get(key)
-    if hit is None:
-        ks = np.arange(1, count + 1, dtype=np.uint64)
-        i = np.arange(depth, dtype=np.uint64)
-        pos = cantor_pair(ks[:, None], i[None, :]).ravel()
-        with np.errstate(over="ignore"):
-            w_base = ((pos >> np.uint64(6)) + np.uint64(1)) * _GOLDEN
-        offsets = (pos & np.uint64(63)).astype(np.uint8)
-        if len(_BATCH_CACHE) >= 3:
-            _BATCH_CACHE.clear()
-        _BATCH_CACHE[key] = hit = (w_base, offsets)
-    return hit
-
-
-_CHUNK = 1 << 18
+    return float(_uniforms([src.seed], [k], depth)[0, 0])
 
 
 def slot_uniforms(src: RandSource, ks: np.ndarray, depth: int = DEFAULT_DEPTH) -> np.ndarray:
     """Vectorized ``slot_uniform`` over an array of slot indices."""
-    ks = np.asarray(ks, dtype=np.uint64)
-    n = ks.size
-    if n and int(ks.min()) < 1:
-        raise InputError("slot indices must be >= 1")
-    if n > _CHUNK:  # bound the working set for very long sweeps
-        out = np.empty(n)
-        for i in range(0, n, _CHUNK):
-            out[i : i + _CHUNK] = slot_uniforms(src, ks[i : i + _CHUNK], depth)
-        return out
-    if n >= 4096 and ks[0] == 1 and ks[-1] == n and bool(
-        (ks == np.arange(1, n + 1, dtype=np.uint64)).all()
-    ):
-        w_base, offsets = _contiguous_tables(n, depth)
-        with np.errstate(over="ignore"):
-            words = _mix64(np.uint64(src.seed) + w_base)
-        bits = ((words >> offsets) & np.uint64(1)).astype(np.float64)
-        return bits.reshape(n, depth) @ _weights(depth)
-    i = np.arange(depth, dtype=np.uint64)
-    positions = cantor_pair(ks[:, None], i[None, :])
-    bits = src.bits(positions.ravel()).reshape(n, depth)
-    return bits @ _weights(depth)
-
-
-def _weights(depth: int) -> np.ndarray:
-    if depth == DEFAULT_DEPTH:
-        return _BIT_WEIGHTS
-    return 0.5 ** (1.0 + np.arange(depth))
+    return _uniforms([src.seed], ks, depth)[0]
 
 
 def uniform_across_seeds(seeds, k: int, depth: int = DEFAULT_DEPTH) -> np.ndarray:
@@ -162,14 +141,15 @@ def uniform_across_seeds(seeds, k: int, depth: int = DEFAULT_DEPTH) -> np.ndarra
     Meant for statistical audits that sample the slot-k uniform across a
     population of sources.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    pos = bit_positions(k, depth)
-    offs = pos & np.uint64(63)
-    with np.errstate(over="ignore"):
-        base = ((pos >> np.uint64(6)) + np.uint64(1)) * _GOLDEN
-        words = _mix64(seeds[:, None] + base[None, :])
-    bits = ((words >> offs[None, :]) & np.uint64(1)).astype(np.float64)
-    return bits @ _weights(depth)
+    return _uniforms(seeds, [k], depth)[:, 0]
+
+
+def cumulative(weights) -> np.ndarray:
+    """Cumulative weights for inverse-CDF draws, with the top edge guarded
+    against rounding so that every u < 1 falls in some cell."""
+    cum = np.cumsum(weights)
+    cum[-1] = max(cum[-1], 1.0)
+    return cum
 
 
 def draw_option(u: float, weights) -> int:
@@ -185,6 +165,4 @@ def draw_option(u: float, weights) -> int:
     total = float(w.sum())
     if abs(total - 1.0) > 1e-9:
         raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    cum = np.cumsum(w)
-    cum[-1] = max(cum[-1], 1.0)  # guard the top edge against rounding
-    return int(np.searchsorted(cum, u, side="left"))
+    return int(np.searchsorted(cumulative(w), u, side="left"))

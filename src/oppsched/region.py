@@ -133,6 +133,24 @@ def membership(region: RateRegion, x, tol: float = 1e-10) -> MembershipResult:
     return MembershipResult(False, dist, res.point, half)
 
 
+def _min_shortfall(region: RateRegion, a, tol: float) -> float:
+    """Certified minimum over the region of the squared componentwise
+    shortfall |(a - y)+|^2, the objective behind dominance and shortfall."""
+    a = geometry.as_vector(a, region.dim)
+
+    def f(y):
+        short = np.maximum(a - y, 0.0)
+        return float(short @ short)
+
+    def grad(y):
+        return -2.0 * np.maximum(a - y, 0.0)
+
+    res = geometry.frank_wolfe(
+        region.body, grad, f, tol=min(tol, _GAP_FLOOR), f_stop=0.0
+    )
+    return res.value
+
+
 def dominance(region: RateRegion, a, tol: float = 1e-10) -> bool:
     """True iff some region point weakly exceeds a in every component.
 
@@ -141,36 +159,12 @@ def dominance(region: RateRegion, a, tol: float = 1e-10) -> bool:
     """
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    a = geometry.as_vector(a, region.dim)
-
-    def f(y):
-        short = np.maximum(a - y, 0.0)
-        return float(short @ short)
-
-    def grad(y):
-        return -2.0 * np.maximum(a - y, 0.0)
-
-    res = geometry.frank_wolfe(
-        region.body, grad, f, tol=min(tol, _GAP_FLOOR), f_stop=0.0
-    )
-    return res.value <= tol
+    return _min_shortfall(region, a, tol) <= tol
 
 
 def shortfall(region: RateRegion, a, tol: float = 1e-10) -> float:
     """Norm of the smallest componentwise excess of a over the region."""
-    a = geometry.as_vector(a, region.dim)
-
-    def f(y):
-        short = np.maximum(a - y, 0.0)
-        return float(short @ short)
-
-    def grad(y):
-        return -2.0 * np.maximum(a - y, 0.0)
-
-    res = geometry.frank_wolfe(
-        region.body, grad, f, tol=min(tol, _GAP_FLOOR), f_stop=0.0
-    )
-    return float(np.sqrt(max(res.value, 0.0)))
+    return float(np.sqrt(max(_min_shortfall(region, a, tol), 0.0)))
 
 
 @dataclass(frozen=True)

@@ -72,12 +72,6 @@ class Partition:
                 idx[w] = i
         return idx
 
-    def block_of(self, w: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if w in b:
-                return i
-        raise InputError(f"point {w} outside the space")
-
 
 @dataclass(frozen=True)
 class FiniteRV:

@@ -17,9 +17,14 @@ import numpy as np
 
 from .errors import InputError
 from .model import Model, sample_states, validate
-from .policy import MaxWeightPolicy, Policy
-from .randomize import RandSource, slot_uniforms
+from .policy import Policy
+from .randomize import MAX_SLOT, RandSource, slot_uniforms
 from .region import RateRegion, membership, rate_region
+
+
+# Seeds x slots per engine call in the mean verifier; bounds its arrays to a
+# few MB however many replications or slots are asked for.
+_ENGINE_SLOTS = 1 << 18
 
 
 def checkpoint_slots(horizon: int) -> np.ndarray:
@@ -73,81 +78,10 @@ def run(
     child streams of the seed, so the trace is a pure function of
     (model, policy, seed, horizon).
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    validate(model).raise_on_error()
-
-    root = RandSource(seed)
-    slots = np.arange(1, horizon + 1, dtype=np.uint64)
-    u_state = slot_uniforms(root.stream("states"), slots)
-    states = sample_states(model, u_state)
-    # Rules that ignore their slot uniforms never consume the policy stream.
-    u_policy = (
-        slot_uniforms(root.stream("policy"), slots)
-        if policy.uses_randomness
-        else np.zeros(horizon)
+    states, choices, xs, fallbacks, arrival_rows, queues = _advance(
+        model, policy, horizon, [seed], arrivals
     )
-
-    m = model.m
-    options = model.options
-    track_queue = arrivals is not None
-    if track_queue:
-        arrival_rows = arrivals.sample_all(horizon, model.m, root.stream("arrivals"))
-        queues = np.empty((horizon, m))
-    else:
-        arrival_rows = None
-        queues = None
-    queue = np.zeros(m) if (track_queue or policy.uses_queue) else None
-
-    fallbacks = np.zeros(horizon, dtype=bool)
-    vec_choices = None
-    if not policy.uses_queue:
-        vec_choices = policy.choices_vector(model, states, u_policy)
-
-    if vec_choices is not None:
-        choices = np.asarray(vec_choices, dtype=np.int64)
-        counts = np.array([arr.shape[0] for arr in options])
-        if np.any(choices < 0) or np.any(choices >= counts[states]):
-            bad = int(np.argmax((choices < 0) | (choices >= counts[states])))
-            raise InputError(
-                f"policy produced invalid option {int(choices[bad])} "
-                f"in state {int(states[bad])}"
-            )
-        offsets = np.zeros(len(options), dtype=np.int64)
-        offsets[1:] = np.cumsum(counts)[:-1]
-        stacked = np.vstack([arr if arr.size else np.zeros((0, m)) for arr in options])
-        xs = stacked[offsets[states] + choices]
-        if track_queue:
-            for k in range(1, horizon + 1):
-                queue = np.maximum(queue + arrival_rows[k - 1] - xs[k - 1], 0.0)
-                queues[k - 1] = queue
-    else:
-        choices = np.empty(horizon, dtype=np.int64)
-        xs = np.empty((horizon, m))
-        prefix: list[int] = []
-        u_list = u_policy.tolist()
-        states_list = states.tolist()
-        greedy = isinstance(policy, MaxWeightPolicy)
-        for k in range(1, horizon + 1):
-            s = states_list[k - 1]
-            prefix.append(s)
-            if greedy:
-                idx, fb = int(np.argmax(options[s] @ queue)), False
-            else:
-                idx, fb = policy.select(model, prefix, u_list[k - 1], queue)
-                if not (0 <= idx < options[s].shape[0]):
-                    raise InputError(
-                        f"policy produced invalid option {idx} in state {s}"
-                    )
-            choices[k - 1] = idx
-            x = options[s][idx]
-            xs[k - 1] = x
-            fallbacks[k - 1] = fb
-            if track_queue:
-                queue = np.maximum(queue + arrival_rows[k - 1] - x, 0.0)
-                queues[k - 1] = queue
-
-    averages = _running_averages(xs)
+    averages = _running_averages(xs[0])
 
     cps = checkpoint_slots(horizon)
     if compute_dists:
@@ -162,16 +96,87 @@ def run(
         seed=seed,
         horizon=horizon,
         policy_kind=policy.kind(),
-        states=states,
-        choices=choices,
-        x=xs,
+        states=states[0],
+        choices=choices[0],
+        x=xs[0],
         averages=averages,
-        fallbacks=fallbacks,
+        fallbacks=fallbacks[0],
         checkpoints=cps,
         checkpoint_dists=dists,
-        queues=queues,
-        arrivals=arrival_rows,
+        queues=None if queues is None else queues[0],
+        arrivals=None if arrival_rows is None else arrival_rows[0],
     )
+
+
+def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
+    """The slot engine: advance independent runs, one per seed, over
+    ``horizon`` slots.
+
+    Returns states, choices, decision vectors, fallback flags, arrivals and
+    backlogs, each with a leading axis over the seeds (arrivals and backlogs
+    are None without arrivals).  Rules that depend only on (current state,
+    slot uniform) are evaluated for all slots at once; rules that read the
+    history or the backlog, and every run with arrivals, go slot by slot.
+    """
+    if not 1 <= horizon <= MAX_SLOT:
+        raise InputError(f"horizon must lie in [1, {MAX_SLOT}], got {horizon}")
+    validate(model).raise_on_error()
+
+    m = model.m
+    b = len(seeds)
+    slots = np.arange(1, horizon + 1, dtype=np.uint64)
+    states = np.empty((b, horizon), dtype=np.int64)
+    u_policy = np.zeros((b, horizon))
+    arrival_rows = None if arrivals is None else np.empty((b, horizon, m))
+    for r, seed in enumerate(seeds):
+        root = RandSource(seed)
+        states[r] = sample_states(model, slot_uniforms(root.stream("states"), slots))
+        # Rules that ignore their slot uniforms never consume the policy stream.
+        if policy.uses_randomness:
+            u_policy[r] = slot_uniforms(root.stream("policy"), slots)
+        if arrivals is not None:
+            arrival_rows[r] = arrivals.sample_all(horizon, m, root.stream("arrivals"))
+
+    options = model.options
+    counts = [arr.shape[0] for arr in options]
+    fallbacks = np.zeros((b, horizon), dtype=bool)
+    choices = None
+    if arrivals is None and not policy.uses_queue:
+        choices = policy.choices_vector(model, states.ravel(), u_policy.ravel())
+
+    if choices is not None:
+        choices = np.asarray(choices, dtype=np.int64).reshape(b, horizon)
+        bad = (choices < 0) | (choices >= np.asarray(counts)[states])
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InputError(
+                f"policy produced invalid option {int(choices[at])} "
+                f"in state {int(states[at])}"
+            )
+        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+        stacked = np.vstack([arr if arr.size else np.zeros((0, m)) for arr in options])
+        return states, choices, stacked[offsets[states] + choices], fallbacks, None, None
+
+    choices = np.empty((b, horizon), dtype=np.int64)
+    xs = np.empty((b, horizon, m))
+    queues = None if arrivals is None else np.empty((b, horizon, m))
+    for r in range(b):
+        queue = np.zeros(m) if (arrivals is not None or policy.uses_queue) else None
+        prefix: list[int] = []
+        u_list = u_policy[r].tolist()
+        for k, s in enumerate(states[r].tolist()):
+            prefix.append(s)
+            idx, fb = policy.select(model, prefix, u_list[k], queue)
+            if not 0 <= idx < counts[s]:
+                raise InputError(f"policy produced invalid option {idx} in state {s}")
+            x = options[s][idx]
+            choices[r, k] = idx
+            xs[r, k] = x
+            fallbacks[r, k] = fb
+            if arrivals is not None:
+                queue = np.maximum(queue + arrival_rows[r, k] - x, 0.0)
+                queues[r, k] = queue
+    return states, choices, xs, fallbacks, arrival_rows, queues
 
 
 def _running_averages(xs: np.ndarray) -> np.ndarray:
@@ -254,16 +259,17 @@ def verify_mean_membership(
     """Estimate E[X_k] over independent seeds and test region membership."""
     if replications < 1000:
         raise InputError("mean-membership checks need at least 1000 replications")
+    if slot < 1:
+        raise InputError("slot must be >= 1")
     reg = region if region is not None else rate_region(model)
     root = RandSource(seed)
+    seeds = [root.stream(f"rep-{r}").seed for r in range(replications)]
     total = np.zeros(model.m)
-    for r in range(replications):
-        rep_seed = root.stream(f"rep-{r}").seed
-        trace = run(
-            model, policy, slot, rep_seed,
-            arrivals=arrivals, region=reg, compute_dists=False,
-        )
-        total += trace.x[slot - 1]
+    group = max(1, _ENGINE_SLOTS // slot)
+    for lo in range(0, replications, group):
+        xs = _advance(model, policy, slot, seeds[lo : lo + group], arrivals)[2]
+        for x in xs[:, slot - 1]:  # replication order, as separate runs would sum
+            total += x
     estimate = total / replications
     dist = membership(reg, estimate, tol).dist
     margin = 3.0 * model.bound / math.sqrt(replications)

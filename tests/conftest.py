@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oppsched import build_model, rate_region
+
+# Property tests draw the same examples on every run, so the suite stays
+# reproducible; no example database is written.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, max_examples=25
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,9 @@ from oppsched import (
     max_weight,
     target_policy,
 )
+from hypothesis import given
+from hypothesis import strategies as st
+
 from oppsched.errors import InputError
 from oppsched.policy import policy_from_dict
 from oppsched.randomize import slot_uniform
@@ -75,6 +78,16 @@ class TestDecide:
         hist = History(states=(0, 1, 0))
         expected = policy.select(two_state_model, [0, 1, 0], slot_uniform(src, 3))[0]
         assert decide(policy, two_state_model, hist, src) == expected
+
+    @given(
+        queue=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2).filter(
+            lambda q: min(q) < 0
+        )
+    )
+    def test_negative_queue_rejected(self, simplex_model, queue):
+        hist = History(states=(0,), queue=np.array(queue))
+        with pytest.raises(InputError):
+            decide(MaxWeightPolicy(), simplex_model, hist, RandSource(0))
 
     def test_empty_history_rejected(self, two_state_model):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ class TestArrivals:
         a = arr.sample_all(100, 1, RandSource(3).stream("arrivals"))
         b = arr.sample_all(100, 1, RandSource(3).stream("arrivals"))
         assert np.array_equal(a, b)
+
+    def test_bernoulli_rejects_slots_past_pairing_bound(self):
+        # 2^31 slots of 2 components need 2^32 uniforms: refused before any
+        # index array is allocated.
+        arr = BernoulliArrivals(prob=np.array([0.5, 0.5]), batch=np.array([1.0, 1.0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError):
+                arr.sample_all(2**31, 2, RandSource(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_json_forms(self):
         det = arrivals_from_dict({"kind": "deterministic", "rate": [0.2, 0.2]})

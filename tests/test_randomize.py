@@ -4,9 +4,12 @@ import sys
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppsched import RandSource, draw_option, slot_uniform, slot_uniforms
 from oppsched.errors import InputError
+from oppsched import randomize
 from oppsched.randomize import bit_positions, cantor_pair, uniform_across_seeds
 
 # Regression constants: computed once with the pure-int reference
@@ -36,25 +39,24 @@ def ref_uniform(seed, k, depth=53):
     return sum(bit(pair(k, i)) * 2.0 ** -(i + 1) for i in range(depth))
 
 
-class FixedBits(RandSource):
-    """Source whose digit stream is a constant, for formula checks."""
-
-    def __init__(self, value: int):
-        super().__init__(0)
-        object.__setattr__(self, "_value", value)
-
-    def bits(self, positions):
-        return np.full(np.asarray(positions).size, float(self._value))
+def fixed_words(monkeypatch, word: int):
+    """Make every word of every seed's stream the constant ``word``, for
+    formula checks."""
+    monkeypatch.setattr(
+        randomize, "_words", lambda seeds, idx: np.full(idx.shape, word, dtype=np.uint64)
+    )
 
 
 class TestSlotUniform:
-    def test_all_zero_stream(self):
-        src = FixedBits(0)
+    def test_all_zero_stream(self, monkeypatch):
+        fixed_words(monkeypatch, 0)
+        src = RandSource(0)
         assert slot_uniform(src, 1) == 0.0
         assert slot_uniform(src, 7) == 0.0
 
-    def test_all_one_stream(self):
-        src = FixedBits(1)
+    def test_all_one_stream(self, monkeypatch):
+        fixed_words(monkeypatch, _M64)
+        src = RandSource(0)
         expected = 1.0 - 2.0 ** -53
         assert slot_uniform(src, 1) == expected
         assert slot_uniform(src, 3) == expected
@@ -74,9 +76,9 @@ class TestSlotUniform:
 
     def test_vectorized_matches_scalar(self):
         src = RandSource(5)
-        ks = np.arange(1, 6000, dtype=np.uint64)  # crosses the cached fast path
+        ks = np.arange(1, 20000, dtype=np.uint64)  # spans several row blocks
         vec = slot_uniforms(src, ks)
-        sample = [0, 1, 17, 4095, 4096, 5000, 5998]
+        sample = [0, 1, 17, 4095, 4096, 8191, 8192, 16384, 19998]
         for i in sample:
             assert vec[i] == slot_uniform(src, int(ks[i]))
 
@@ -90,6 +92,16 @@ class TestSlotUniform:
     def test_rejects_slot_zero(self):
         with pytest.raises(InputError):
             slot_uniform(RandSource(0), 0)
+
+    def test_largest_slot_before_pairing_overflow(self):
+        # k + depth - 1 < 2^32 keeps t(t+1) inside uint64 in the Cantor pairing.
+        assert slot_uniform(RandSource(3), 2**32 - 53) == ref_uniform(3, 2**32 - 53)
+        with pytest.raises(InputError):
+            slot_uniform(RandSource(3), 2**32 - 52)
+        with pytest.raises(InputError):
+            slot_uniforms(RandSource(3), np.array([1, 2**32 - 52], dtype=np.uint64))
+        with pytest.raises(InputError):
+            bit_positions(2**32 - 52)
 
     def test_values_in_unit_interval(self):
         src = RandSource(123)
@@ -173,3 +185,26 @@ class TestDrawOption:
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
             draw_option(0.5, [0.5, 0.4])
+
+
+class TestPrimitiveProperties:
+    @given(
+        seeds=st.lists(st.integers(0, _M64), min_size=1, max_size=3),
+        ks=st.lists(st.integers(1, 2**32 - 53), min_size=1, max_size=4),
+    )
+    def test_matches_reference_oracle(self, seeds, ks):
+        out = randomize._uniforms(np.array(seeds, dtype=np.uint64), np.array(ks, dtype=np.uint64))
+        assert out.shape == (len(seeds), len(ks))
+        for b, seed in enumerate(seeds):
+            for j, k in enumerate(ks):
+                assert out[b, j] == ref_uniform(seed, k)
+
+    @given(seed=st.integers(0, _M64), start=st.integers(1, 10**6))
+    @settings(max_examples=10)
+    def test_row_blocks_match_reference(self, seed, start):
+        # A slot range longer than one block of rows, checked at its ends and
+        # at both sides of every block boundary.
+        n = 2 * randomize._ROWS + 5
+        us = slot_uniforms(RandSource(seed), np.arange(start, start + n, dtype=np.uint64))
+        for j in (0, randomize._ROWS - 1, randomize._ROWS, 2 * randomize._ROWS, n - 1):
+            assert us[j] == ref_uniform(seed, start + j)

@@ -18,6 +18,10 @@ from oppsched import (
     verify_mean_membership,
     write_trace_csv,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oppsched import BernoulliArrivals, RandSource, max_weight, step
 from oppsched.errors import InputError
 from oppsched.sim import checkpoint_slots
 
@@ -158,6 +162,77 @@ class TestMeanMembership:
             two_state_model, policy, replications=1000, slot=2, region=two_state_region
         )
         assert report.passed
+
+
+def _mean_cases():
+    # Option values that are not dyadic, so sums in any other order than the
+    # replication order round differently.
+    model = build_model(["s1", "s2"], [0.3, 0.7], [[[0.1], [1.3]], [[0.7], [2.9], [1.7]]])
+    queued = build_model(["s"], [1.0], [[[0.9, 0.1], [0.2, 0.7], [0.0, 0.0]]])
+    table = {((s0, s1), level): (s0 + s1 + level) % 2
+             for s0 in range(2) for s1 in range(2) for level in range(2)}
+    bernoulli = BernoulliArrivals(prob=np.array([0.5, 0.3]), batch=np.array([0.7, 1.1]))
+    return {
+        "deterministic": (model, deterministic_policy(model, psi=(1, 2)), None),
+        "randomized": (model, RandomizedStationaryPolicy(
+            weights=(np.array([0.25, 0.75]), np.array([0.5, 0.3, 0.2]))), None),
+        "target": (model, target_policy(rate_region(model), [1.5]), None),
+        "custom": (model, CustomPolicy(table=table, levels=2, psi=(0, 2)), None),
+        "maxweight": (queued, MaxWeightPolicy(), bernoulli),
+    }
+
+
+class TestMeanMembershipReference:
+    @pytest.mark.parametrize("kind", ["deterministic", "randomized", "target", "custom", "maxweight"])
+    @given(seed=st.integers(0, 2**64 - 1), slot=st.integers(1, 4))
+    @settings(max_examples=3)
+    def test_estimate_equals_sum_of_separate_runs(self, kind, seed, slot):
+        model, policy, arrivals = _mean_cases()[kind]
+        reps = 1000
+        report = verify_mean_membership(
+            model, policy, replications=reps, slot=slot, seed=seed, arrivals=arrivals
+        )
+        root = RandSource(seed)
+        total = np.zeros(model.m)
+        for r in range(reps):
+            trace = run(
+                model, policy, slot, root.stream(f"rep-{r}").seed,
+                arrivals=arrivals, compute_dists=False,
+            )
+            total += trace.x[slot - 1]
+        assert np.array_equal(report.estimate, total / reps)
+
+
+    def test_replications_split_across_engine_calls(self):
+        # 1000 replications of 300 slots exceed one engine call's share.
+        model, policy, _ = _mean_cases()["randomized"]
+        report = verify_mean_membership(model, policy, replications=1000, slot=300, seed=9)
+        root = RandSource(9)
+        total = np.zeros(model.m)
+        for r in range(1000):
+            total += run(model, policy, 300, root.stream(f"rep-{r}").seed,
+                         compute_dists=False).x[299]
+        assert np.array_equal(report.estimate, total / 1000)
+
+
+class TestMaxWeightReplay:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        prob=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+        batch=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+        horizon=st.integers(1, 300),
+    )
+    def test_choices_follow_previous_backlog(self, simplex_model, seed, prob, batch, horizon):
+        arrivals = BernoulliArrivals(prob=np.array(prob), batch=np.array(batch))
+        trace = run(simplex_model, MaxWeightPolicy(), horizon, seed,
+                    arrivals=arrivals, compute_dists=False)
+        queue = np.zeros(simplex_model.m)
+        for k in range(horizon):
+            options = simplex_model.options[trace.states[k]]
+            assert trace.choices[k] == max_weight(queue, options)
+            assert np.array_equal(trace.x[k], options[trace.choices[k]])
+            queue = step(queue, trace.arrivals[k], trace.x[k])
+            assert np.array_equal(trace.queues[k], queue)
 
 
 class TestAvgConvergence:
