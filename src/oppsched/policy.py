@@ -199,9 +199,17 @@ class CustomPolicy(Policy):
         if self.levels < 1:
             raise InputError("levels must be >= 1")
 
+    @cached_property
+    def _longest_prefix(self) -> int:
+        """Length of the longest prefix among the table keys."""
+        return max((len(prefix) for prefix, _ in self.table), default=0)
+
     def select(self, model, states, u, queue=None):
         level = min(int(u * self.levels), self.levels - 1)
-        entry = self.table.get((tuple(states), level))
+        # A prefix longer than every key matches none; skip copying it.
+        entry = None
+        if len(states) <= self._longest_prefix:
+            entry = self.table.get((tuple(states), level))
         s = states[-1]
         if entry is None or not (0 <= entry < model.options[s].shape[0]):
             return self.psi[s], True

@@ -26,6 +26,12 @@ from .region import RateRegion, membership, rate_region
 # few MB however many replications or slots are asked for.
 _ENGINE_SLOTS = 1 << 18
 
+# Slots per formatted block of the trace CSV; bounds the writer's strings to
+# one block however long the run.  Larger blocks format no faster and raised
+# the peak RSS of 1e5-slot simulate runs: their short-lived strings spread
+# over more allocator arenas.
+_CSV_ROWS = 2048
+
 
 def checkpoint_slots(horizon: int) -> np.ndarray:
     """Powers of two up to the horizon, plus the final slot."""
@@ -188,19 +194,34 @@ def _running_averages(xs: np.ndarray) -> np.ndarray:
     horizon, m = xs.shape
     out = np.empty((horizon, m))
     for c in range(m):
-        col = xs[:, c].tolist()
-        acc = 0.0
-        dst = out[:, c]
-        for k in range(1, horizon + 1):
-            acc = acc + (col[k - 1] - acc) / k
-            dst[k - 1] = acc
+        out[:, c] = np.fromiter(_recursion(xs[:, c].tolist()), np.float64, horizon)
     return out
 
 
+def _recursion(col):
+    """The running averages of one column, as Python floats."""
+    acc = 0.0
+    for k, x in enumerate(col, 1):
+        acc = acc + (x - acc) / k
+        yield acc
+
+
 def write_trace_csv(trace: Trace, model: Model, path) -> None:
-    """Columnar slot record; checkpoint distances appear only on their slots."""
+    """Columnar slot record; checkpoint distances appear only on their slots.
+
+    Rows are formatted column by column in blocks of ``_CSV_ROWS`` slots, so
+    the strings alive at once are bounded by one block.  Floats are written
+    as ``repr``; decision columns repeat option rows, so they format each
+    distinct bit pattern once (not each distinct value, which would merge
+    -0.0 and 0.0).
+    """
     m = model.m
-    cp_pos = {int(c): i for i, c in enumerate(trace.checkpoints)}
+    labels = np.array(model.states.labels, dtype=object)
+    cp_strs = {}
+    if trace.checkpoint_dists is not None:
+        cp_strs = dict(
+            zip(trace.checkpoints.tolist(), map(repr, trace.checkpoint_dists.tolist()))
+        )
     with open(path, "w", newline="") as fh:
         header = ["k", "state_label", "option_index"]
         header += [f"x_{c}" for c in range(m)]
@@ -209,21 +230,33 @@ def write_trace_csv(trace: Trace, model: Model, path) -> None:
         if trace.queues is not None:
             header += [f"q_{c}" for c in range(m)]
         fh.write(",".join(header) + "\n")
-        for k in range(1, trace.horizon + 1):
-            row = [
-                str(k),
-                model.label(int(trace.states[k - 1])),
-                str(int(trace.choices[k - 1])),
+        for lo in range(0, trace.horizon, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, trace.horizon)
+            cols = [
+                map(str, range(lo + 1, hi + 1)),
+                labels[trace.states[lo:hi]].tolist(),
+                map(str, trace.choices[lo:hi].tolist()),
             ]
-            row += [repr(float(v)) for v in trace.x[k - 1]]
-            row += [repr(float(v)) for v in trace.averages[k - 1]]
-            if trace.checkpoint_dists is not None and k in cp_pos:
-                row.append(repr(float(trace.checkpoint_dists[cp_pos[k]])))
-            else:
-                row.append("")
+            cols += [_format_decisions(trace.x[lo:hi, c]) for c in range(m)]
+            cols += [map(repr, trace.averages[lo:hi, c].tolist()) for c in range(m)]
+            dists = [""] * (hi - lo)
+            for k, text in cp_strs.items():
+                if lo < k <= hi:
+                    dists[k - lo - 1] = text
+            cols.append(dists)
             if trace.queues is not None:
-                row += [repr(float(v)) for v in trace.queues[k - 1]]
-            fh.write(",".join(row) + "\n")
+                cols += [map(repr, trace.queues[lo:hi, c].tolist()) for c in range(m)]
+            fh.write("\n".join(map(",".join, zip(*cols))))
+            fh.write("\n")
+
+
+def _format_decisions(col: np.ndarray) -> list[str]:
+    """``repr`` of each entry as a float64, called once per distinct bit pattern."""
+    bits, inverse = np.unique(
+        np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 # --- verifiers --------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from oppsched import (
     decide,
     deterministic_policy,
     max_weight,
+    run,
     target_policy,
 )
 from hypothesis import given
@@ -169,6 +172,50 @@ class TestCustomFallback:
         policy = CustomPolicy(table={((0,), 0): 99}, levels=2, psi=(0, 0))
         idx, fallback = policy.select(two_state_model, [0], 0.3)
         assert idx == 0 and fallback
+
+
+def ref_custom_select(policy, model, states, u):
+    """Table lookup on a copy of the whole prefix, as ``select`` once did."""
+    level = min(int(u * policy.levels), policy.levels - 1)
+    entry = policy.table.get((tuple(states), level))
+    s = states[-1]
+    if entry is None or not (0 <= entry < model.options[s].shape[0]):
+        return policy.psi[s], True
+    return entry, False
+
+
+class TestCustomSelect:
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_prefix_copying_lookup(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_small_model(rng)
+        n = model.n_states
+        levels = int(rng.integers(1, 5))
+        path = rng.integers(0, n, 12).tolist()
+        table = {}
+        for _ in range(int(rng.integers(0, 30))):
+            length = int(rng.integers(1, 9))
+            # Half the keys lie on the walked path, so lookups hit.
+            prefix = path[:length] if rng.random() < 0.5 else rng.integers(0, n, length).tolist()
+            table[(tuple(prefix), int(rng.integers(0, levels)))] = int(rng.integers(-1, 5))
+        # The longest key matches the path at every level, the edge of the skip.
+        longest = max((len(p) for p, _ in table), default=int(rng.integers(1, 9)))
+        table.update({(tuple(path[:longest]), level): 0 for level in range(levels)})
+        psi = tuple(int(rng.integers(0, a.shape[0])) for a in model.options)
+        policy = CustomPolicy(table=table, levels=levels, psi=psi)
+        for k in range(1, len(path) + 1):
+            u = float(rng.random())
+            expected = ref_custom_select(policy, model, path[:k], u)
+            assert policy.select(model, path[:k], u) == expected
+            assert policy.select(model, tuple(path[:k]), u) == expected
+
+    def test_long_run_is_linear_in_horizon(self, two_state_model):
+        # Copying the prefix on every slot made 1e5 slots take minutes.
+        policy = CustomPolicy(table={((0,), 0): 1, ((1, 1), 1): 1}, levels=2, psi=(0, 0))
+        start = time.perf_counter()
+        trace = run(two_state_model, policy, 100_000, 5, compute_dists=False)
+        assert time.perf_counter() - start < 15.0
+        assert trace.fallbacks[2:].all()
 
 
 class TestTargetPolicy:
