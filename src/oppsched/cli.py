@@ -17,19 +17,9 @@ import numpy as np
 
 from . import geometry, queueing, region as region_mod, sigma
 from .errors import InputError
-from .model import model_from_dict, model_from_json
+from .model import load_json, model_from_dict, model_from_json
 from .policy import policy_from_dict
 from .sim import run, verify_avg_convergence, verify_mean_membership, write_trace_csv
-
-
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"{what} file is not valid JSON: {e}") from None
 
 
 def _config_hash(doc) -> str:
@@ -55,7 +45,7 @@ def _unit_directions(m: int, count: int, seed: int) -> np.ndarray:
 
 
 def cmd_factor(args) -> int:
-    doc = _load_json(args.spec, "factor spec")
+    doc = load_json(args.spec, "factor spec")
     try:
         n = int(doc["n"])
     except (KeyError, TypeError, ValueError):
@@ -119,9 +109,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model_doc = _load_json(args.model, "model")
+    model_doc = load_json(args.model, "model")
     model = model_from_dict(model_doc)
-    policy_doc = _load_json(args.policy, "policy")
+    policy_doc = load_json(args.policy, "policy")
     reg = region_mod.rate_region(model)
     policy = policy_from_dict(policy_doc, model, reg)
     arrivals = None
@@ -182,7 +172,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_queue(args) -> int:
-    model_doc = _load_json(args.model, "model")
+    model_doc = load_json(args.model, "model")
     model = model_from_dict(model_doc)
     if "arrivals" not in model_doc:
         raise InputError("queue runs need an 'arrivals' object in the model file")

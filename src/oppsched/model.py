@@ -287,15 +287,19 @@ def _resource_model_from_dict(doc: dict) -> Model:
     return model
 
 
-def model_from_json(path) -> Model:
+def load_json(path, what: str):
+    """Parse a JSON file; a missing or malformed ``what`` file is an InputError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"model file not found: {path}") from None
+        raise InputError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as e:
-        raise InputError(f"model file is not valid JSON: {e}") from None
-    return model_from_dict(doc)
+        raise InputError(f"{what} file is not valid JSON: {e}") from None
+
+
+def model_from_json(path) -> Model:
+    return model_from_dict(load_json(path, "model"))
 
 
 def model_to_dict(model: Model) -> dict:

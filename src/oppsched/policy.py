@@ -15,10 +15,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError, MembershipError
+from .errors import InputError
 from .model import Model, validate
 from .randomize import RandSource, cumulative, slot_uniform
-from .region import RateRegion, TargetDecomposition, decompose, membership
+from .region import RateRegion, TargetDecomposition, decompose
 
 
 @dataclass(frozen=True)
@@ -217,11 +217,13 @@ class CustomPolicy(Policy):
 
     def slot_mean(self, model, prefix=(), queue=None):
         out = np.zeros(model.m)
-        prefix = tuple(prefix)
+        # Keys are one state longer than the prefix; past the longest table
+        # key none can match, so every level falls back without a lookup.
+        keys = tuple(prefix) if len(prefix) < self._longest_prefix else None
         for s in range(model.n_states):
             acc = np.zeros(model.m)
             for level in range(self.levels):
-                entry = self.table.get((prefix + (s,), level))
+                entry = None if keys is None else self.table.get((keys + (s,), level))
                 if entry is None or not (0 <= entry < model.options[s].shape[0]):
                     entry = self.psi[s]
                 acc += model.options[s][entry]
@@ -256,9 +258,6 @@ def target_policy(region: RateRegion, x, tol: float = 1e-10) -> TargetPolicy:
     """Stationary randomized policy whose exact per-slot mean is x (within
     the decomposition residual).  Raises with a separating certificate when
     x is not achievable."""
-    check = membership(region, x, tol)
-    if not check.inside:
-        raise MembershipError(np.asarray(x, dtype=float).tolist(), check.certificate)
     decomposition = decompose(region, x, tol)
     return TargetPolicy(weights=decomposition.weights, decomposition=decomposition)
 

@@ -124,13 +124,19 @@ def membership(region: RateRegion, x, tol: float = 1e-10) -> MembershipResult:
             region.body, x, tol=0.0, f_stop=tol,
             max_iter=geometry.MAX_ITER, on_cap="return",
         )
+    certificate = _certify(region, x, res, tol)
     dist = float(np.sqrt(max(res.value, 0.0)))
+    return MembershipResult(certificate is None, dist, res.point, certificate)
+
+
+def _certify(region: RateRegion, x: np.ndarray, res, tol: float) -> HalfSpace | None:
+    """The verdict of a projection of x: None when its squared distance is
+    within tol, otherwise the supporting half-space that separates x."""
     if res.value <= tol:
-        return MembershipResult(True, dist, res.point, None)
-    a = (x - res.point) / dist
+        return None
+    a = (x - res.point) / float(np.sqrt(res.value))
     a = a / float(np.linalg.norm(a))
-    half = HalfSpace(a, support(region, a))
-    return MembershipResult(False, dist, res.point, half)
+    return HalfSpace(a, support(region, a))
 
 
 def _min_shortfall(region: RateRegion, a, tol: float) -> float:
@@ -188,14 +194,24 @@ def decompose(region: RateRegion, x, tol: float = 1e-10) -> TargetDecomposition:
     The projection's active atoms are deterministic per-state selections, so
     their convex weights regroup directly into per-state simplex vectors.
     Raises with the separating certificate when x is outside the region.
+    The verdict comes from that same projection, which runs membership's
+    iterates further, except where the gap cannot certify.
     """
     x = geometry.as_vector(x, region.dim)
-    check = membership(region, x, tol)
-    if not check.inside:
-        raise MembershipError(x.tolist(), check.certificate)
+    # Below the floor, and for a tol that is no number or not positive,
+    # membership decides (or rejects tol) before the solve.
+    gap_certifies = tol >= _GAP_FLOOR
+    if not gap_certifies:
+        check = membership(region, x, tol)
+        if not check.inside:
+            raise MembershipError(x.tolist(), check.certificate)
     res = geometry.project_full(
         region.body, x, tol=min(tol, _GAP_FLOOR), f_stop=tol * 1e-4
     )
+    if gap_certifies:
+        certificate = _certify(region, x, res, tol)
+        if certificate is not None:
+            raise MembershipError(x.tolist(), certificate)
     model = region.model
     weights = [np.zeros(arr.shape[0]) for arr in model.options]
     for atom in res.atoms:
@@ -210,5 +226,5 @@ def decompose(region: RateRegion, x, tol: float = 1e-10) -> TargetDecomposition:
         mean += model.probs[s] * (weights[s] @ model.options[s])
     residual = float(np.linalg.norm(mean - x))
     if residual > math.sqrt(tol):
-        raise MembershipError(x.tolist(), check.certificate)
+        raise MembershipError(x.tolist(), None)
     return TargetDecomposition(target=x, weights=tuple(weights), residual=residual)

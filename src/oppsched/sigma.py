@@ -9,6 +9,7 @@ with exact equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -85,7 +86,10 @@ class FiniteRV:
             raise InputError(
                 f"expected {self.space.size} values, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in values):
+            raise InputError("random variable values must be finite")
+        object.__setattr__(self, "values", values)
 
     def __call__(self, w: int) -> float:
         return self.values[w]
@@ -160,11 +164,7 @@ def is_measurable(x: FiniteRV, p: Partition) -> bool:
     """True iff x is constant on every block of p."""
     if x.space != p.space:
         raise InputError("random variable and partition live on different spaces")
-    for b in p.blocks:
-        vals = {x(w) for w in b}
-        if len(vals) > 1:
-            return False
-    return True
+    return _measurability_witness(x, p) is None
 
 
 def canonical_y(p: Partition) -> FiniteRV:

@@ -92,9 +92,7 @@ def run(
     cps = checkpoint_slots(horizon)
     if compute_dists:
         reg = region if region is not None else rate_region(model)
-        dists = np.array(
-            [membership(reg, averages[c - 1], tol).dist for c in cps]
-        )
+        dists = _checkpoint_dists(reg, averages, cps, tol)
     else:
         dists = None
 
@@ -112,6 +110,11 @@ def run(
         queues=None if queues is None else queues[0],
         arrivals=None if arrival_rows is None else arrival_rows[0],
     )
+
+
+def _checkpoint_dists(region: RateRegion, averages: np.ndarray, cps, tol: float) -> np.ndarray:
+    """Distance of the running average to the region at each checkpoint slot."""
+    return np.array([membership(region, averages[c - 1], tol).dist for c in cps])
 
 
 def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
@@ -346,22 +349,14 @@ def verify_avg_convergence(
     marked insufficient and only the final bound is asserted.
     """
     if checkpoints is None:
-        cps = trace.checkpoints
-        if trace.checkpoint_dists is not None and not np.any(
-            np.isnan(trace.checkpoint_dists)
-        ):
-            dists = trace.checkpoint_dists
-        else:
-            dists = np.array(
-                [membership(region, trace.averages[c - 1], tol).dist for c in cps]
-            )
+        cps, dists = trace.checkpoints, trace.checkpoint_dists
     else:
         cps = np.asarray(checkpoints, dtype=np.int64)
         if cps.size == 0 or int(cps.min()) < 1 or int(cps.max()) > trace.horizon:
             raise InputError("checkpoints must be slot indices within the horizon")
-        dists = np.array(
-            [membership(region, trace.averages[c - 1], tol).dist for c in cps]
-        )
+        dists = None
+    if dists is None or np.any(np.isnan(dists)):
+        dists = _checkpoint_dists(region, trace.averages, cps, tol)
 
     horizon = trace.horizon
     bound = region.model.bound
@@ -418,7 +413,8 @@ def verify_conditional_membership(
     quantized-randomness path collapses to conditioning on the state prefix;
     the conditional mean of the slot decision given a prefix is computed
     exactly from the policy's weights.  Queue-aware rules are evaluated with
-    an empty backlog.
+    an empty backlog.  Prefixes that share a conditional mean (every prefix,
+    for a stationary rule) share one membership solve.
     """
     if slot < 1:
         raise InputError("slot must be >= 1")
@@ -435,26 +431,22 @@ def verify_conditional_membership(
     tol_f = dist_tol * dist_tol
     max_dist = 0.0
     count = 0
-    for prefix in _state_prefixes(n, slot - 1):
+    solved = {}
+    passed = True
+    for prefix in itertools.product(range(n), repeat=slot - 1):
         mean = policy.slot_mean(model, prefix)
-        res = membership(reg, mean, tol=tol_f)
+        key = mean.tobytes()
+        if key not in solved:
+            solved[key] = membership(reg, mean, tol=tol_f)
+        res = solved[key]
         max_dist = max(max_dist, res.dist)
         count += 1
         if not res.inside:
-            return ConditionalMembershipReport(
-                slot=slot, prefixes=count, max_dist=max_dist,
-                dist_tol=dist_tol, passed=False,
-            )
+            passed = False
+            break
     return ConditionalMembershipReport(
-        slot=slot, prefixes=count, max_dist=max_dist, dist_tol=dist_tol, passed=True
+        slot=slot, prefixes=count, max_dist=max_dist, dist_tol=dist_tol, passed=passed
     )
-
-
-def _state_prefixes(n_states: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    yield from itertools.product(range(n_states), repeat=length)
 
 
 @dataclass(frozen=True)
@@ -475,21 +467,15 @@ def martingale_check(trace: Trace, model: Model, policy: Policy) -> MartingaleCh
     Means come from the policy weights, never from estimates, so the partial
     sums average a genuine zero-mean bounded sequence.
     """
-    horizon = trace.horizon
-    diffs = np.empty((horizon, model.m))
-    stationary = policy.kind() in ("deterministic", "randomized", "target")
-    if stationary:
-        mean = policy.slot_mean(model)
-        diffs = trace.x - mean
-    elif policy.kind() == "maxweight":
-        queue = np.zeros(model.m)
-        for k in range(1, horizon + 1):
-            diffs[k - 1] = trace.x[k - 1] - policy.slot_mean(model, queue=queue)
-            if trace.queues is not None:
-                queue = trace.queues[k - 1]
+    if policy.kind() in ("deterministic", "randomized", "target"):
+        diffs = trace.x - policy.slot_mean(model)
     else:
-        states = trace.states
-        for k in range(1, horizon + 1):
-            prefix = tuple(int(s) for s in states[: k - 1])
-            diffs[k - 1] = trace.x[k - 1] - policy.slot_mean(model, prefix)
+        # History rules read the state prefix, queue rules the backlog
+        # before the slot; each ignores the other.
+        diffs = np.empty((trace.horizon, model.m))
+        queue = np.zeros(model.m)
+        for k in range(trace.horizon):
+            diffs[k] = trace.x[k] - policy.slot_mean(model, trace.states[:k], queue)
+            if trace.queues is not None:
+                queue = trace.queues[k]
     return MartingaleCheck(diffs=diffs, partial_sums=np.cumsum(diffs, axis=0))

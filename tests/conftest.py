@@ -48,3 +48,17 @@ def random_small_model(rng: np.random.Generator, max_states=4, max_options=4, ma
         for _ in range(n)
     ]
     return build_model([f"s{i}" for i in range(n)], probs, options)
+
+
+def downlink_model(rng: np.random.Generator, max_states=6, max_dim=4):
+    """A downlink rate table: in each state, idle or serve one user at its
+    current rate; a user's channel is off (no option) with probability 1/4."""
+    n = int(rng.integers(1, max_states + 1))
+    m = int(rng.integers(1, max_dim + 1))
+    probs = rng.random(n) + 0.5
+    probs = probs / probs.sum()
+    options = []
+    for _ in range(n):
+        rates = np.where(rng.random(m) < 0.25, 0.0, rng.uniform(0.2, 1.0, m))
+        options.append(np.vstack([np.zeros(m)] + [r * e for r, e in zip(rates, np.eye(m)) if r > 0]))
+    return build_model([f"s{i}" for i in range(n)], probs, options)

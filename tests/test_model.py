@@ -146,6 +146,16 @@ class TestJsonSchema:
         for a, b in zip(model.options, two_state_model.options):
             assert np.array_equal(a, b)
 
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(InputError, match="model file not found"):
+            model_from_json(tmp_path / "absent.json")
+
+    def test_malformed_json_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json")
+        with pytest.raises(InputError, match="model file is not valid JSON"):
+            model_from_json(path)
+
     def test_missing_m_named(self):
         with pytest.raises(InputError, match="'m'"):
             model_from_dict({"states": [{"label": "a", "prob": 1.0, "options": [[0.0]]}]})

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -126,9 +127,12 @@ class TestBitLayout:
             "from oppsched import RandSource, slot_uniform;"
             "print(repr([slot_uniform(RandSource(42), k) for k in (1, 2, 3)]))"
         )
+        # The child imports the package this suite is testing.
+        src = os.path.dirname(os.path.dirname(randomize.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         outs = {
             subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
             ).stdout
             for _ in range(2)
         }

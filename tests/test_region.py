@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppsched import (
     MembershipError,
@@ -12,11 +15,13 @@ from oppsched import (
     lmo,
     membership,
     rate_region,
+    target_policy,
 )
-from oppsched.errors import InputError
-from oppsched.region import support
+from oppsched import geometry
+from oppsched.errors import ConvergenceError, InputError
+from oppsched.region import TargetDecomposition, support
 
-from conftest import random_small_model
+from conftest import downlink_model, random_small_model
 
 
 def brute_support(model, d):
@@ -180,3 +185,72 @@ class TestDecompose:
             d = decompose(region, target)
             mean = d.mean(model)
             assert float(np.linalg.norm(mean - target)) <= 1e-5
+
+
+def ref_decompose(region, x, tol=1e-10):
+    """Decide membership first, then solve the projection again for its atoms."""
+    x = geometry.as_vector(x, region.dim)
+    check = membership(region, x, tol)
+    if not check.inside:
+        raise MembershipError(x.tolist(), check.certificate)
+    res = geometry.project_full(region.body, x, tol=min(tol, 1e-12), f_stop=tol * 1e-4)
+    model = region.model
+    weights = [np.zeros(arr.shape[0]) for arr in model.options]
+    for atom in res.atoms:
+        for s, idx in enumerate(atom.tag):
+            weights[s][idx] += atom.weight
+    mean = np.zeros(model.m)
+    for s in range(model.n_states):
+        total = weights[s].sum()
+        if total > 0:
+            weights[s] /= total
+        mean += model.probs[s] * (weights[s] @ model.options[s])
+    residual = float(np.linalg.norm(mean - x))
+    if residual > math.sqrt(tol):
+        raise MembershipError(x.tolist(), check.certificate)
+    return TargetDecomposition(target=x, weights=tuple(weights), residual=residual)
+
+
+def outcome(fn, region, x, tol):
+    """Everything a decomposition or its refusal exposes, as comparable bytes."""
+    try:
+        d = fn(region, x, tol)
+    except MembershipError as e:
+        cert = e.certificate
+        return ("outside", e.point, None if cert is None else (cert.a.tobytes(), cert.b))
+    except ConvergenceError:
+        return ("stalled",)
+    d = getattr(d, "decomposition", d)
+    return ("inside", [w.tobytes() for w in d.weights], d.residual)
+
+
+class TestDecomposeReference:
+    """``decompose`` reads its verdict from its own solve; the reference
+    decides with ``membership`` first.  Both must give the same bytes, at
+    tolerances above and below the gap floor."""
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        downlink=st.booleans(),
+        tol=st.sampled_from([1e-10, 1e-6, 1e-13, 1e-16]),
+    )
+    def test_matches_membership_then_solve(self, seed, downlink, tol):
+        rng = np.random.default_rng(seed)
+        model = downlink_model(rng) if downlink else random_small_model(rng)
+        region = rate_region(model)
+        w = [rng.dirichlet(np.ones(o.shape[0])) for o in model.options]
+        inside = sum(p * (ws @ o) for p, ws, o in zip(model.probs, w, model.options))
+        a = np.abs(rng.standard_normal(model.m)) + 0.1
+        step = 0.1 * max(model.bound, 0.1) * (a / np.linalg.norm(a) + rng.random(model.m))
+        beyond = lmo(region, -a) + step  # past the support point of a
+        for x in (inside, beyond, rng.uniform(-1.5, 1.5, model.m)):
+            want = outcome(ref_decompose, region, x, tol)
+            assert outcome(decompose, region, x, tol) == want
+            assert outcome(target_policy, region, x, tol) == want
+
+    def test_scalar_target_refusal_names_a_vector(self, two_state_region):
+        with pytest.raises(MembershipError) as exc:
+            target_policy(two_state_region, 1.7)
+        assert exc.value.point == [1.7]
+        assert exc.value.certificate.a.tolist() == [1.0]

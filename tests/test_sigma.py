@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -115,6 +116,32 @@ class TestIsMeasurable:
         space = FiniteSpace(4)
         x = FiniteRV(space, [3.7, -1, 0, 9])
         assert is_measurable(x, Partition.singletons(space))
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        space = FiniteSpace(2)
+        with pytest.raises(InputError, match="finite"):
+            FiniteRV(space, [bad, bad])  # one object twice
+        with pytest.raises(InputError, match="finite"):
+            FiniteRV(space, [bad, float(str(bad))])  # two distinct objects
+        with pytest.raises(InputError, match="finite"):
+            FiniteRV(space, [0.0, bad])
+
+    def test_agrees_with_factorize(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            space = FiniteSpace(n)
+            p = generate(space, [[w for w in range(n) if rng.random() < 0.5]])
+            # Signed zeros compare equal, so both verdicts must treat them alike.
+            x = FiniteRV(space, [rng.choice([0.0, -0.0, 1.0]) for _ in range(n)])
+            try:
+                factorize([x], [p], [[0]])
+                factored = True
+            except MeasurabilityError:
+                factored = False
+            assert is_measurable(x, p) == factored
 
 
 class TestCanonicalY:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +25,59 @@ from hypothesis import strategies as st
 
 from oppsched import BernoulliArrivals, RandSource, max_weight, step
 from oppsched.errors import InputError
-from oppsched.sim import checkpoint_slots
+from oppsched.region import membership
+from oppsched.sim import ConditionalMembershipReport, checkpoint_slots
 
-from conftest import random_small_model
+from conftest import downlink_model, random_small_model
+
+
+def ref_verify_conditional(model, policy, slot, levels=None, dist_tol=1e-9, region=None):
+    """One membership solve per state prefix, stopping at the first failure."""
+    reg = region if region is not None else rate_region(model)
+    if levels is None:
+        levels = getattr(policy, "levels", 1)
+    tol_f = dist_tol * dist_tol
+    max_dist = 0.0
+    count = 0
+    for prefix in itertools.product(range(model.n_states), repeat=slot - 1):
+        res = membership(reg, policy.slot_mean(model, prefix), tol=tol_f)
+        max_dist = max(max_dist, res.dist)
+        count += 1
+        if not res.inside:
+            return ConditionalMembershipReport(slot, count, max_dist, dist_tol, False)
+    return ConditionalMembershipReport(slot, count, max_dist, dist_tol, True)
+
+
+class ForgedPrefixMean(RandomizedStationaryPolicy):
+    """Claims a conditional mean far outside the region after one prefix."""
+
+    def slot_mean(self, model, prefix=(), queue=None):
+        mean = super().slot_mean(model, prefix, queue)
+        return mean + 10.0 * model.bound if tuple(prefix) == (1, 0) else mean
+
+
+class PrefixScaledMean(RandomizedStationaryPolicy):
+    """Scales the stationary mean by a factor set by the last observed state,
+    so prefixes share means and some of those means may lie outside."""
+
+    def slot_mean(self, model, prefix=(), queue=None):
+        mean = super().slot_mean(model, prefix, queue)
+        return mean * (1.0 + 0.5 * prefix[-1]) if prefix else mean
+
+
+def ref_custom_slot_mean(policy, model, prefix):
+    """Look every (prefix + state, level) key up, however long the prefix."""
+    out = np.zeros(model.m)
+    prefix = tuple(prefix)
+    for s in range(model.n_states):
+        acc = np.zeros(model.m)
+        for level in range(policy.levels):
+            entry = policy.table.get((prefix + (s,), level))
+            if entry is None or not (0 <= entry < model.options[s].shape[0]):
+                entry = policy.psi[s]
+            acc += model.options[s][entry]
+        out += model.probs[s] * (acc / policy.levels)
+    return out
 
 
 class TestRun:
@@ -319,6 +371,40 @@ class TestConditionalMembership:
             exact, policy.slot_mean(two_state_model, prefix=())
         )
 
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["target", "custom", "scaled"]))
+    def test_matches_one_solve_per_prefix(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        model = downlink_model(rng, max_states=4) if kind == "target" else random_small_model(rng)
+        region = rate_region(model)
+        n = model.n_states
+        if kind == "target":
+            w = [rng.dirichlet(np.ones(o.shape[0])) for o in model.options]
+            x = sum(p * (ws @ o) for p, ws, o in zip(model.probs, w, model.options))
+            policy = target_policy(region, x)
+        elif kind == "scaled":
+            w = [rng.dirichlet(np.ones(o.shape[0])) for o in model.options]
+            policy = PrefixScaledMean(weights=tuple(w))
+        else:
+            levels = int(rng.integers(1, 4))
+            table = {
+                (tuple(rng.integers(0, n, int(rng.integers(1, 3))).tolist()), int(rng.integers(0, levels))):
+                    int(rng.integers(-1, 4))
+                for _ in range(int(rng.integers(0, 12)))
+            }
+            psi = tuple(int(rng.integers(0, o.shape[0])) for o in model.options)
+            policy = CustomPolicy(table=table, levels=levels, psi=psi)
+        slot = int(rng.integers(1, 4))
+        report = verify_conditional_membership(model, policy, slot, region=region)
+        assert report == ref_verify_conditional(model, policy, slot, region=region)
+
+    def test_forged_prefix_mean_fails_at_that_prefix(self, two_state_model, two_state_region):
+        policy = ForgedPrefixMean(weights=(np.array([0.5, 0.5]), np.array([0.25, 0.75])))
+        report = verify_conditional_membership(two_state_model, policy, 3, region=two_state_region)
+        ref = ref_verify_conditional(two_state_model, policy, 3, region=two_state_region)
+        assert not report.passed
+        assert report == ref
+        assert report.prefixes == 3  # (0, 0), (0, 1), then the forged (1, 0)
+
     def test_enumeration_cap(self, two_state_model):
         policy = RandomizedStationaryPolicy(
             weights=(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
@@ -343,3 +429,33 @@ class TestMartingale:
         check = martingale_check(trace, two_state_model, policy)
         mean = policy.slot_mean(two_state_model)
         assert np.allclose(check.diffs, trace.x - mean)
+
+    def test_custom_diffs_match_full_prefix_lookups(self, two_state_model):
+        table = {((0,), 0): 1, ((1, 1), 1): 1, ((0, 1, 1), 0): 1, ((1, 0), 2): 7}
+        policy = CustomPolicy(table=table, levels=3, psi=(0, 1))
+        trace = run(two_state_model, policy, 1500, 21, compute_dists=False)
+        check = martingale_check(trace, two_state_model, policy)
+        for k in range(1, trace.horizon + 1):
+            prefix = tuple(int(s) for s in trace.states[: k - 1])
+            want = trace.x[k - 1] - ref_custom_slot_mean(policy, two_state_model, prefix)
+            assert check.diffs[k - 1].tobytes() == want.tobytes()
+
+    def test_maxweight_diffs_read_the_backlog_before_each_slot(self, simplex_model):
+        policy = MaxWeightPolicy()
+        arrivals = BernoulliArrivals(prob=np.array([0.3, 0.4]), batch=np.array([1.0, 1.0]))
+        trace = run(simplex_model, policy, 300, 23, arrivals=arrivals, compute_dists=False)
+        check = martingale_check(trace, simplex_model, policy)
+        queue = np.zeros(2)
+        for k in range(trace.horizon):
+            want = trace.x[k] - policy.slot_mean(simplex_model, queue=queue)
+            assert check.diffs[k].tobytes() == want.tobytes()
+            queue = trace.queues[k]
+
+    def test_custom_check_is_linear_in_horizon(self, two_state_model):
+        # Looking up the whole prefix on every slot made 20,000 slots take 44 s.
+        policy = CustomPolicy(table={((0,), 0): 1, ((1, 1), 1): 1}, levels=2, psi=(0, 0))
+        trace = run(two_state_model, policy, 20_000, 22, compute_dists=False)
+        start = time.perf_counter()
+        check = martingale_check(trace, two_state_model, policy)
+        assert time.perf_counter() - start < 10.0
+        assert check.diffs.shape == (20_000, two_state_model.m)
