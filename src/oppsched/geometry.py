@@ -1,10 +1,9 @@
 """Compact convex bodies driven by linear-minimization oracles.
 
 A body is either the convex hull of finitely many generator points or an
-oracle ``d -> argmin over the body of d.y``.  Projection and related convex
-minimizations run Frank-Wolfe with away steps over the oracle, keeping the
-active set of atoms so callers can read off the convex-combination weights
-of the solution.
+oracle ``d -> argmin over the body of d.y``.  Projection runs Frank-Wolfe
+with away steps over the oracle, keeping the active set of atoms so callers
+can read off the convex-combination weights of the solution.
 """
 
 from __future__ import annotations
@@ -123,43 +122,31 @@ class FWResult:
     atoms: list[Atom]
 
 
-def _bisect_step(grad, y, d, gmax: float) -> float:
-    """Step size minimizing a convex objective along y + g*d via its slope."""
-    lo, hi = 0.0, gmax
-    if float(grad(y + hi * d) @ d) <= 0.0:
-        return hi
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if float(grad(y + mid * d) @ d) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _sq_dist(x: np.ndarray, y: np.ndarray) -> float:
+    diff = x - y
+    return float(diff @ diff)
 
 
 def frank_wolfe(
     body: ConvexBody,
-    grad: Callable[[np.ndarray], np.ndarray],
-    f: Callable[[np.ndarray], float],
+    x,
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
     f_stop: float | None = None,
-    line_search: Callable | None = None,
     on_cap: str = "raise",
 ) -> FWResult:
-    """Minimize a smooth convex f over the body, tracking the active atoms.
+    """Project x onto the body: minimize ||x - y||^2 over the body with
+    exact line searches, tracking the active atoms.
 
     Stops when the duality gap drops to ``tol`` (certifying
-    f(y) - min <= tol) or, if ``f_stop`` is given, as soon as
-    f(y) <= f_stop.  At the iteration cap either raises (default) or, with
-    ``on_cap="return"``, hands back the best iterate found.
+    ||x - y||^2 - min <= tol) or, if ``f_stop`` is given, as soon as
+    ||x - y||^2 <= f_stop.  At the iteration cap either raises (default) or,
+    with ``on_cap="return"``, hands back the best iterate found.
     """
     if tol < 0:
         raise InputError("tolerance must be nonnegative")
-    step = line_search if line_search is not None else (
-        lambda y, d, gmax: _bisect_step(grad, y, d, gmax)
-    )
+    x = as_vector(x, body.dim)
 
     p0, k0 = body.lmo(np.zeros(body.dim))
     weights: dict[Hashable, float] = {k0: 1.0}
@@ -168,23 +155,31 @@ def frank_wolfe(
     gap = np.inf
 
     for it in range(max_iter):
-        val = f(y)
+        val = _sq_dist(x, y)
         if f_stop is not None and val <= f_stop:
-            return _finish(y, val, 0.0, it, weights, points, f)
-        g = grad(y)
+            return _finish(x, y, val, 0.0, it, weights, points)
+        g = 2.0 * (y - x)
         s, sk = body.lmo(g)
         gap = float(g @ (y - s))
         if gap <= tol:
-            return _finish(y, val, gap, it, weights, points, f)
+            return _finish(x, y, val, gap, it, weights, points)
 
         away_key = max(weights, key=lambda k: float(g @ points[k]))
         v = points[away_key]
         away_gap = float(g @ (v - y))  # descent available by shedding v
 
-        if gap >= away_gap or len(weights) == 1:
+        toward = gap >= away_gap or len(weights) == 1
+        if toward:
             d = s - y
             gmax = 1.0
-            gamma = min(step(y, d, gmax), gmax)
+        else:
+            d = y - v
+            w = weights[away_key]
+            gmax = w / (1.0 - w) if w < 1.0 else 1e12
+        dd = float(d @ d)
+        step = 0.0 if dd <= 0.0 else min(max(float((x - y) @ d) / dd, 0.0), gmax)
+        gamma = min(step, gmax)
+        if toward:
             if gamma >= 1.0:
                 weights = {sk: 1.0}
                 points = {sk: s}
@@ -194,10 +189,6 @@ def frank_wolfe(
                 weights[sk] = weights.get(sk, 0.0) + gamma
                 points.setdefault(sk, s)
         else:
-            d = y - v
-            w = weights[away_key]
-            gmax = w / (1.0 - w) if w < 1.0 else 1e12
-            gamma = min(step(y, d, gmax), gmax)
             for k in weights:
                 weights[k] *= 1.0 + gamma
             weights[away_key] -= gamma
@@ -212,7 +203,7 @@ def frank_wolfe(
             y = _combine(weights, points)
 
     if on_cap == "return":
-        return _finish(y, f(y), gap, max_iter, weights, points, f)
+        return _finish(x, y, _sq_dist(x, y), gap, max_iter, weights, points)
     raise ConvergenceError(
         f"Frank-Wolfe did not converge within {max_iter} iterations", gap
     )
@@ -226,11 +217,11 @@ def _combine(weights, points) -> np.ndarray:
     return y
 
 
-def _finish(y, val, gap, iterations, weights, points, f) -> FWResult:
+def _finish(x, y, val, gap, iterations, weights, points) -> FWResult:
     total = sum(weights.values())
     atoms = [Atom(points[k], w / total, k) for k, w in weights.items() if w / total > 0]
     y_exact = _combine(weights, points)
-    val_exact = f(y_exact)
+    val_exact = _sq_dist(x, y_exact)
     if val_exact < val:
         y, val = y_exact, val_exact
     return FWResult(point=y, value=val, gap=gap, iterations=iterations, atoms=atoms)
@@ -247,38 +238,8 @@ def project(body: ConvexBody, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     On exit ||x - y*||^2 exceeds the true minimum by at most ``tol``, so the
     distance is 0 within sqrt(tol) exactly when x lies in the body.
     """
-    res = project_full(body, x, tol)
+    res = frank_wolfe(body, x, tol=tol)
     return ProjectionResult(res.point, float(np.sqrt(max(res.value, 0.0))))
-
-
-def project_full(
-    body: ConvexBody,
-    x,
-    tol: float = DEFAULT_TOL,
-    f_stop=None,
-    max_iter: int = MAX_ITER,
-    on_cap: str = "raise",
-) -> FWResult:
-    """Projection as a full Frank-Wolfe result (atoms included)."""
-    x = as_vector(x, body.dim)
-
-    def f(y):
-        diff = x - y
-        return float(diff @ diff)
-
-    def grad(y):
-        return 2.0 * (y - x)
-
-    def exact_step(y, d, gmax):
-        dd = float(d @ d)
-        if dd <= 0.0:
-            return 0.0
-        return min(max(float((x - y) @ d) / dd, 0.0), gmax)
-
-    return frank_wolfe(
-        body, grad, f, tol=tol, f_stop=f_stop, line_search=exact_step,
-        max_iter=max_iter, on_cap=on_cap,
-    )
 
 
 def outer_halfspaces(body: ConvexBody, dirs: Sequence) -> list[HalfSpace]:

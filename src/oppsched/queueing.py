@@ -121,12 +121,11 @@ def run_maxweight(
     seed: int,
     *,
     region: RateRegion | None = None,
-    slope_threshold: float = STABLE_SLOPE,
 ) -> StabilityReport:
     """Serve the arrivals with the backlog-greedy rule and judge stability.
 
     Stability here means the least-squares drift slope of the backlog norm
-    stays under the threshold; near-critical loads mix slowly, so verdicts
+    stays under ``STABLE_SLOPE``; near-critical loads mix slowly, so verdicts
     within a thin band of the region boundary are unreliable.
     """
     if horizon < 1000:
@@ -151,7 +150,7 @@ def run_maxweight(
         time_avg_queue_norm=float(norms.mean()),
         tail_avg_queue_norm=float(tail.mean()),
         drift_slope=slope,
-        stable=bool(slope <= slope_threshold),
+        stable=bool(slope <= STABLE_SLOPE),
         trace=trace,
     )
 

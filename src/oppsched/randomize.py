@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import InputError
 
-DEFAULT_DEPTH = 53
+DEPTH = 53  # binary digits per slot uniform
 
-# Largest slot index at the default depth: past it, t(t+1) in the Cantor
-# pairing overflows uint64 and the digit sets of different slots collide.
-MAX_SLOT = (1 << 32) - DEFAULT_DEPTH
+# Largest slot index: past it, t(t+1) in the Cantor pairing overflows uint64
+# and the digit sets of different slots collide.
+MAX_SLOT = (1 << 32) - DEPTH
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -39,22 +39,22 @@ def cantor_pair(k, i):
         return ((t * (t + np.uint64(1))) >> np.uint64(1)) + np.asarray(i, dtype=np.uint64)
 
 
-def _check_slots(ks, depth: int) -> np.ndarray:
+def _check_slots(ks) -> np.ndarray:
     ks = np.asarray(ks)
     if ks.size and int(ks.min()) < 1:
         raise InputError("slot indices must be >= 1")
-    if ks.size and int(ks.max()) + depth - 1 >= 1 << 32:
+    if ks.size and int(ks.max()) > MAX_SLOT:
         raise InputError(
-            f"slot index {int(ks.max())} is too large for depth {depth}: "
+            f"slot index {int(ks.max())} exceeds {MAX_SLOT}: "
             "its digit positions would overflow the Cantor pairing"
         )
     return ks.astype(np.uint64)
 
 
-def bit_positions(k: int, depth: int = DEFAULT_DEPTH) -> np.ndarray:
+def bit_positions(k: int) -> np.ndarray:
     """Digit positions of R consumed by the slot-k uniform."""
-    ks = _check_slots([k], depth)
-    return cantor_pair(ks, np.arange(depth, dtype=np.uint64))
+    ks = _check_slots([k])
+    return cantor_pair(ks, np.arange(DEPTH, dtype=np.uint64))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -73,19 +73,19 @@ def _words(seeds: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return _mix64(seeds + (idx + np.uint64(1)) * _GOLDEN)
 
 
-def _uniforms(seeds, ks, depth: int = DEFAULT_DEPTH) -> np.ndarray:
-    """U_k = sum of digit(pair(k, i)) * 2^-(i+1) over i < depth, for every
+def _uniforms(seeds, ks) -> np.ndarray:
+    """U_k = sum of digit(pair(k, i)) * 2^-(i+1) over i < 53, for every
     seed and slot: a (len(seeds), len(ks)) array.
 
     The only place digits are read.  Each term is a distinct power of two, so
     the sum is exact in float64 whatever the summation order.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    ks = _check_slots(np.ravel(ks), depth)
+    ks = _check_slots(np.ravel(ks))
     n_k = ks.size
     out = np.empty(seeds.size * n_k)
-    i = np.arange(depth, dtype=np.uint64)
-    weights = 0.5 ** (1.0 + np.arange(depth))
+    i = np.arange(DEPTH, dtype=np.uint64)
+    weights = 0.5 ** (1.0 + np.arange(DEPTH))
     for lo in range(0, out.size, _ROWS):
         rows = np.arange(lo, min(lo + _ROWS, out.size))
         pos = cantor_pair(ks[rows % n_k, None], i)
@@ -109,13 +109,13 @@ class RandSource:
     def __post_init__(self):
         object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
 
-    def uniform(self, k: int, depth: int = DEFAULT_DEPTH) -> float:
+    def uniform(self, k: int) -> float:
         """The slot-k uniform U_k in [0, 1)."""
-        return slot_uniform(self, k, depth)
+        return slot_uniform(self, k)
 
-    def uniforms(self, count: int, depth: int = DEFAULT_DEPTH) -> np.ndarray:
+    def uniforms(self, count: int) -> np.ndarray:
         """U_1..U_count as one array (same values as repeated ``uniform`` calls)."""
-        return slot_uniforms(self, np.arange(1, count + 1, dtype=np.uint64), depth)
+        return slot_uniforms(self, np.arange(1, count + 1, dtype=np.uint64))
 
     def stream(self, tag: str) -> "RandSource":
         """An unrelated child source addressed by a stable name."""
@@ -125,23 +125,23 @@ class RandSource:
             return RandSource(int(_mix64(child + _GOLDEN)))
 
 
-def slot_uniform(src: RandSource, k: int, depth: int = DEFAULT_DEPTH) -> float:
-    """U_k = sum of bit(pair(k, i)) * 2^-(i+1) over i < depth."""
-    return float(_uniforms([src.seed], [k], depth)[0, 0])
+def slot_uniform(src: RandSource, k: int) -> float:
+    """U_k = sum of bit(pair(k, i)) * 2^-(i+1) over i < 53."""
+    return float(_uniforms([src.seed], [k])[0, 0])
 
 
-def slot_uniforms(src: RandSource, ks: np.ndarray, depth: int = DEFAULT_DEPTH) -> np.ndarray:
+def slot_uniforms(src: RandSource, ks: np.ndarray) -> np.ndarray:
     """Vectorized ``slot_uniform`` over an array of slot indices."""
-    return _uniforms([src.seed], ks, depth)[0]
+    return _uniforms([src.seed], ks)[0]
 
 
-def uniform_across_seeds(seeds, k: int, depth: int = DEFAULT_DEPTH) -> np.ndarray:
+def uniform_across_seeds(seeds, k: int) -> np.ndarray:
     """U_k under many seeds at once; equals RandSource(seed).uniform(k) per entry.
 
     Meant for statistical audits that sample the slot-k uniform across a
     population of sources.
     """
-    return _uniforms(seeds, [k], depth)[:, 0]
+    return _uniforms(seeds, [k])[:, 0]
 
 
 def cumulative(weights) -> np.ndarray:

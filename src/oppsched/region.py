@@ -102,6 +102,11 @@ class MembershipResult:
         return self.inside
 
 
+def _check_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be a positive finite number, got {tol!r}")
+
+
 def membership(region: RateRegion, x, tol: float = 1e-10) -> MembershipResult:
     """Decide x in the region within sqrt(tol), with a certificate either way.
 
@@ -113,16 +118,14 @@ def membership(region: RateRegion, x, tol: float = 1e-10) -> MembershipResult:
     distance itself under tol, since the duality gap cannot be resolved past
     float precision at that scale.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    _check_tol(tol)
     x = geometry.as_vector(x, region.dim)
-    res = geometry.project_full(region.body, x, tol=_GAP_FLOOR, f_stop=tol)
+    res = geometry.frank_wolfe(region.body, x, tol=_GAP_FLOOR, f_stop=tol)
     if tol < _GAP_FLOOR and tol < res.value <= tol + 2.0 * _GAP_FLOOR:
         # Gap-certified but still above the requested squared distance:
         # keep iterating on the primal value alone.
-        res = geometry.project_full(
-            region.body, x, tol=0.0, f_stop=tol,
-            max_iter=geometry.MAX_ITER, on_cap="return",
+        res = geometry.frank_wolfe(
+            region.body, x, tol=0.0, f_stop=tol, on_cap="return"
         )
     certificate = _certify(region, x, res, tol)
     dist = float(np.sqrt(max(res.value, 0.0)))
@@ -140,36 +143,41 @@ def _certify(region: RateRegion, x: np.ndarray, res, tol: float) -> HalfSpace | 
 
 
 def _min_shortfall(region: RateRegion, a, tol: float) -> float:
-    """Certified minimum over the region of the squared componentwise
-    shortfall |(a - y)+|^2, the objective behind dominance and shortfall."""
+    """Minimum over the region R of the squared shortfall |(a - y)+|^2.
+
+    It equals dist^2(a, R - [0, L]^m) once the box depth L covers how far
+    any point of R can exceed a.  Raising a to R's coordinatewise minimum
+    changes no shortfall and keeps L within R's width.
+    """
+    _check_tol(tol)
     a = geometry.as_vector(a, region.dim)
+    axes = np.eye(region.dim)
+    lo = np.array([-support(region, -e) for e in axes])
+    a = np.maximum(a, lo)
+    drop = max(max(support(region, e) - a_c, 0.0) for e, a_c in zip(axes, a))
 
-    def f(y):
-        short = np.maximum(a - y, 0.0)
-        return float(short @ short)
+    def oracle(d: np.ndarray):
+        point, tag = region.body.lmo(d)
+        up = d > 0
+        return point - drop * up, (tag, up.tobytes())
 
-    def grad(y):
-        return -2.0 * np.maximum(a - y, 0.0)
-
-    res = geometry.frank_wolfe(
-        region.body, grad, f, tol=min(tol, _GAP_FLOOR), f_stop=0.0
-    )
-    return res.value
+    bound = region.body.bound + drop * math.sqrt(region.dim)
+    lowered = ConvexBody.from_lmo(region.dim, oracle, bound)
+    return geometry.frank_wolfe(lowered, a, tol=min(tol, _GAP_FLOOR), f_stop=tol).value
 
 
 def dominance(region: RateRegion, a, tol: float = 1e-10) -> bool:
     """True iff some region point weakly exceeds a in every component.
 
-    Minimizes the squared norm of the componentwise shortfall (a - y)+ over
-    the region; the verdict compares the certified minimum against tol.
+    Projects a onto the region lowered by a box (see ``_min_shortfall``); the
+    verdict compares the squared shortfall against tol.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
     return _min_shortfall(region, a, tol) <= tol
 
 
 def shortfall(region: RateRegion, a, tol: float = 1e-10) -> float:
-    """Norm of the smallest componentwise excess of a over the region."""
+    """Norm of the smallest componentwise excess of a over the region; at
+    most sqrt(tol), not exactly 0, when a is dominated."""
     return float(np.sqrt(max(_min_shortfall(region, a, tol), 0.0)))
 
 
@@ -197,15 +205,15 @@ def decompose(region: RateRegion, x, tol: float = 1e-10) -> TargetDecomposition:
     The verdict comes from that same projection, which runs membership's
     iterates further, except where the gap cannot certify.
     """
+    _check_tol(tol)
     x = geometry.as_vector(x, region.dim)
-    # Below the floor, and for a tol that is no number or not positive,
-    # membership decides (or rejects tol) before the solve.
+    # Below the floor membership decides before the solve.
     gap_certifies = tol >= _GAP_FLOOR
     if not gap_certifies:
         check = membership(region, x, tol)
         if not check.inside:
             raise MembershipError(x.tolist(), check.certificate)
-    res = geometry.project_full(
+    res = geometry.frank_wolfe(
         region.body, x, tol=min(tol, _GAP_FLOOR), f_stop=tol * 1e-4
     )
     if gap_certifies:

@@ -151,6 +151,18 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def test_nan_tol_exit_2(self, tmp_path, capsys, two_state_doc):
+        model = write_json(tmp_path / "m.json", two_state_doc)
+        policy = write_json(tmp_path / "p.json", {"kind": "deterministic"})
+        code = main(
+            [
+                "simulate", "--model", model, "--policy", policy, "--horizon", "100",
+                "--tol", "nan", "--out", str(tmp_path / "nan"), "--quiet",
+            ]
+        )
+        assert code == 2
+        assert "tolerance must be a positive finite number" in capsys.readouterr().err
+
     def test_replications_report(self, tmp_path, two_state_doc):
         model = write_json(tmp_path / "m.json", two_state_doc)
         policy = write_json(tmp_path / "p.json", {"kind": "randomized", "weights": [[0.5, 0.5], [0.5, 0.5]]})
@@ -197,3 +209,10 @@ class TestQueueCommand:
         model = write_json(tmp_path / "m.json", simplex_doc)
         assert main(["queue", "--model", model]) == 2
         assert "arrivals" in capsys.readouterr().err
+
+    def test_nan_tol_exit_2(self, tmp_path, capsys, simplex_doc):
+        simplex_doc["arrivals"] = {"kind": "deterministic", "rate": [0.2, 0.2]}
+        model = write_json(tmp_path / "m.json", simplex_doc)
+        code = main(["queue", "--model", model, "--horizon", "1000", "--tol", "nan"])
+        assert code == 2
+        assert "tolerance must be a positive finite number" in capsys.readouterr().err

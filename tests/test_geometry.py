@@ -3,7 +3,7 @@ import pytest
 
 from oppsched import ConvexBody, HalfSpace, hull_generators, outer_halfspaces, project, support
 from oppsched.errors import ConvergenceError, InputError
-from oppsched.geometry import project_full
+from oppsched.geometry import frank_wolfe
 
 
 def interval_body(lo=0.0, hi=1.5):
@@ -105,7 +105,7 @@ class TestProject:
     def test_iteration_cap_raises_with_gap(self):
         body = triangle_body()
         with pytest.raises(ConvergenceError) as exc:
-            project_full(body, [2.0, 1.1], tol=1e-16, max_iter=1)
+            frank_wolfe(body, [2.0, 1.1], tol=1e-16, max_iter=1)
         assert exc.value.gap > 0
 
 

@@ -95,7 +95,7 @@ class TestSlotUniform:
             slot_uniform(RandSource(0), 0)
 
     def test_largest_slot_before_pairing_overflow(self):
-        # k + depth - 1 < 2^32 keeps t(t+1) inside uint64 in the Cantor pairing.
+        # k <= MAX_SLOT = 2^32 - 53 keeps t(t+1) inside uint64 in the Cantor pairing.
         assert slot_uniform(RandSource(3), 2**32 - 53) == ref_uniform(3, 2**32 - 53)
         with pytest.raises(InputError):
             slot_uniform(RandSource(3), 2**32 - 52)

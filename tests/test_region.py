@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from oppsched import (
     MembershipError,
@@ -19,7 +20,7 @@ from oppsched import (
 )
 from oppsched import geometry
 from oppsched.errors import ConvergenceError, InputError
-from oppsched.region import TargetDecomposition, support
+from oppsched.region import TargetDecomposition, shortfall, support
 
 from conftest import downlink_model, random_small_model
 
@@ -148,6 +149,81 @@ class TestDominance:
         assert dominance(simplex_region, [0.9, 0.0])
 
 
+def lp_margin(region, a):
+    """Largest t with some generator mixture y >= a + t*1: positive exactly
+    when a is strictly dominated, and -t bounds the shortfall norm."""
+    gens = enumerate_generators(region)
+    n, m = gens.shape
+    res = linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.c_[-gens.T, np.ones(m)],
+        b_ub=-np.asarray(a, dtype=np.float64),
+        A_eq=np.r_[np.ones(n), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * n + [(None, None)],
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+class TestDominanceReference:
+    """Dominance and shortfall against a linear program over the explicit
+    generators of the region."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        downlink=st.booleans(),
+        tol=st.sampled_from([1e-10, 1e-6]),
+    )
+    def test_matches_lp_margin(self, seed, downlink, tol):
+        rng = np.random.default_rng(seed)
+        model = downlink_model(rng) if downlink else random_small_model(rng)
+        region = rate_region(model)
+        w = [rng.dirichlet(np.ones(o.shape[0])) for o in model.options]
+        inside = sum(p * (ws @ o) for p, ws, o in zip(model.probs, w, model.options))
+        scale = max(model.bound, 0.1)
+        for a in (
+            inside - 0.05 * scale * rng.random(model.m),
+            inside + 0.2 * scale * rng.standard_normal(model.m),
+            rng.uniform(-1.5, 1.5, model.m),
+        ):
+            t = lp_margin(region, a)
+            if t > 1e-6:
+                assert dominance(region, a, tol)
+            elif -t > math.sqrt(tol) + 1e-6:
+                # The shortfall norm is at least -t, past the verdict's sqrt(tol).
+                assert not dominance(region, a, tol)
+            if t < -1e-6:
+                deficit = shortfall(region, a, tol)
+                assert -t - math.sqrt(tol) <= deficit <= math.sqrt(model.m) * -t + 1e-9
+
+    def test_stalled_downlink_point_is_dominated(self):
+        # Minimizing the shortfall objective directly ran 100,000 Frank-Wolfe
+        # iterations here and raised ConvergenceError; the LP margin is +6.6e-5.
+        probs = np.array([0.110721, 0.115152, 0.251528, 0.114837, 0.240988, 0.166775])
+        options = [
+            [[0, 0], [0.841998307451931, 0], [0, 0.4272149528800127]],
+            [[0, 0], [0.3347582676670011, 0], [0, 0.7198785564012431]],
+            [[0, 0]],
+            [[0, 0], [0.3880279336684111, 0], [0, 0.8828228174088812]],
+            [[0, 0], [0, 0.38795421118152706]],
+            [[0, 0], [0.7818097376904489, 0], [0, 0.4676191717890906]],
+        ]
+        model = build_model([f"s{i}" for i in range(6)], probs / probs.sum(), options)
+        region = rate_region(model)
+        a = [0.2341357593554848, 0.2549308619907282]
+        assert lp_margin(region, a) > 6e-5
+        assert dominance(region, a)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("fn", [membership, decompose, dominance, shortfall])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_tol_that_is_not_positive_finite(self, simplex_region, fn, tol):
+        with pytest.raises(InputError, match="tolerance must be a positive finite number"):
+            fn(simplex_region, [0.2, 0.2], tol)
+
+
 class TestDecompose:
     def test_boundary_target_unique_weights(self, two_state_region):
         d = decompose(two_state_region, [1.5])
@@ -193,7 +269,7 @@ def ref_decompose(region, x, tol=1e-10):
     check = membership(region, x, tol)
     if not check.inside:
         raise MembershipError(x.tolist(), check.certificate)
-    res = geometry.project_full(region.body, x, tol=min(tol, 1e-12), f_stop=tol * 1e-4)
+    res = geometry.frank_wolfe(region.body, x, tol=min(tol, 1e-12), f_stop=tol * 1e-4)
     model = region.model
     weights = [np.zeros(arr.shape[0]) for arr in model.options]
     for atom in res.atoms:
