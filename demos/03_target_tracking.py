@@ -44,7 +44,7 @@ print("average martingale deviation norm:", f"{check.final_average_norm:.2e}")
 
 # Conditioning on any realized decision prefix keeps the next-slot mean
 # achievable; with stationary weights it never moves at all.
-cond = verify_conditional_membership(model, policy, slot=3, levels=4, region=region)
+cond = verify_conditional_membership(model, policy, slot=3, region=region)
 print(
     f"conditional means over {cond.prefixes} prefixes stay within",
     f"{cond.dist_tol:.0e} of the region:", cond.passed,

@@ -16,7 +16,7 @@ region = rate_region(model)
 print(f"{'arrivals':>14} {'dominated':>10} {'stable':>7} {'slope':>10} {'tail |Q|':>10}")
 for load in (0.2, 0.35, 0.45, 0.55, 0.65):
     a = np.array([load, load])
-    rep = run_maxweight(model, DeterministicArrivals(a), 50_000, seed=7, region=region)
+    rep = run_maxweight(model, DeterministicArrivals(a), 50_000, seed=7)
     dom = dominance(region, a)
     print(
         f"{str(a.tolist()):>14} {str(dom):>10} {str(rep.stable):>7} "
@@ -25,7 +25,7 @@ for load in (0.2, 0.35, 0.45, 0.55, 0.65):
 
 # Asymmetric load: one component may exceed 0.5 as long as the total fits.
 a = np.array([0.7, 0.2])
-rep = run_maxweight(model, DeterministicArrivals(a), 50_000, seed=7, region=region)
+rep = run_maxweight(model, DeterministicArrivals(a), 50_000, seed=7)
 print(
     f"\nasymmetric {a.tolist()}: dominated={dominance(region, a)}, "
     f"stable={rep.stable}, tail |Q|={rep.tail_avg_queue_norm:.2f}"

@@ -109,6 +109,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    region_mod.check_tol(args.tol)
     model_doc = load_json(args.model, "model")
     model = model_from_dict(model_doc)
     policy_doc = load_json(args.policy, "policy")
@@ -146,7 +147,7 @@ def cmd_simulate(args) -> int:
         "checkpoint_dists": [float(d) for d in report.dists],
         "final_dist": report.final_dist,
         "final_bound": report.final_bound,
-        "monotone_after_burn_in": report.monotone_after_burn_in,
+        "within_bound_after_burn_in": report.within_bound_after_burn_in,
         "insufficient_horizon": report.insufficient_horizon,
         "passed": report.passed,
         "trace_csv": trace_path,
@@ -172,15 +173,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_queue(args) -> int:
+    region_mod.check_tol(args.tol)
     model_doc = load_json(args.model, "model")
     model = model_from_dict(model_doc)
     if "arrivals" not in model_doc:
         raise InputError("queue runs need an 'arrivals' object in the model file")
     arrivals = queueing.arrivals_from_dict(model_doc["arrivals"])
     reg = region_mod.rate_region(model)
-    report = queueing.run_maxweight(
-        model, arrivals, args.horizon, args.seed, region=reg
-    )
+    report = queueing.run_maxweight(model, arrivals, args.horizon, args.seed)
     dominated = region_mod.dominance(reg, report.mean_rate, args.tol)
     doc = {
         "seed": args.seed,

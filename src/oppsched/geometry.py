@@ -1,7 +1,7 @@
 """Compact convex bodies driven by linear-minimization oracles.
 
-A body is either the convex hull of finitely many generator points or an
-oracle ``d -> argmin over the body of d.y``.  Projection runs Frank-Wolfe
+A body is its oracle ``d -> argmin over the body of d.y``; ``from_points``
+builds one for the convex hull of a point set.  Projection runs Frank-Wolfe
 with away steps over the oracle, keeping the active set of atoms so callers
 can read off the convex-combination weights of the solution.
 """
@@ -56,55 +56,34 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class ConvexBody:
-    """Compact convex set given by generators or a linear-minimization oracle."""
+    """Compact convex set given by its linear-minimization oracle
+    ``d -> (argmin over the body of d.y, hashable atom tag)``."""
 
     dim: int
-    bound: float
-    generators: np.ndarray | None = None
-    oracle: Callable[[np.ndarray], tuple[np.ndarray, Hashable]] | None = field(
-        default=None, repr=False
-    )
-
-    def __post_init__(self):
-        if self.generators is None and self.oracle is None:
-            raise InputError("a body needs generators or an oracle")
+    oracle: Callable[[np.ndarray], tuple[np.ndarray, Hashable]] = field(repr=False)
 
     @classmethod
     def from_points(cls, points) -> "ConvexBody":
+        """Convex hull of the rows; atoms are tagged by row index."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.size == 0:
             raise InputError("at least one generator point is required")
-        bound = float(np.max(np.linalg.norm(pts, axis=1)))
-        return cls(dim=pts.shape[1], bound=bound, generators=pts)
 
-    @classmethod
-    def from_lmo(cls, dim: int, lmo: Callable, bound: float) -> "ConvexBody":
         def oracle(d):
-            out = lmo(d)
-            if isinstance(out, tuple):
-                point, tag = out
-                return as_vector(point, dim), tag
-            point = as_vector(out, dim)
-            return point, point.round(12).tobytes()
+            idx = int(np.argmin(pts @ d))  # ties to lowest row
+            return pts[idx], idx
 
-        return cls(dim=dim, bound=float(bound), oracle=oracle)
+        return cls(dim=pts.shape[1], oracle=oracle)
 
     def lmo(self, d) -> tuple[np.ndarray, Hashable]:
         """Minimizer of d.y over the body, with a hashable atom tag."""
-        d = as_vector(d, self.dim)
-        if self.generators is not None:
-            idx = int(np.argmin(self.generators @ d))  # ties to lowest index
-            return self.generators[idx], idx
-        return self.oracle(d)
+        return self.oracle(as_vector(d, self.dim))
 
 
 def support(body: ConvexBody, a) -> float:
     """Support value max over the body of a.y."""
     a = as_vector(a, body.dim)
-    if body.generators is not None:
-        return float(np.max(body.generators @ a))
-    point, _ = body.lmo(-a)
-    return float(a @ point)
+    return float(a @ body.lmo(-a)[0])
 
 
 class Atom(NamedTuple):
@@ -132,17 +111,16 @@ def frank_wolfe(
     x,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-    f_stop: float | None = None,
+    f_stop: float = 0.0,
     on_cap: str = "raise",
 ) -> FWResult:
     """Project x onto the body: minimize ||x - y||^2 over the body with
     exact line searches, tracking the active atoms.
 
     Stops when the duality gap drops to ``tol`` (certifying
-    ||x - y||^2 - min <= tol) or, if ``f_stop`` is given, as soon as
-    ||x - y||^2 <= f_stop.  At the iteration cap either raises (default) or,
-    with ``on_cap="return"``, hands back the best iterate found.
+    ||x - y||^2 - min <= tol) or as soon as ||x - y||^2 <= f_stop.  After
+    ``MAX_ITER`` iterations either raises (default) or, with
+    ``on_cap="return"``, hands back the best iterate found.
     """
     if tol < 0:
         raise InputError("tolerance must be nonnegative")
@@ -154,9 +132,9 @@ def frank_wolfe(
     y = p0.copy()
     gap = np.inf
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         val = _sq_dist(x, y)
-        if f_stop is not None and val <= f_stop:
+        if val <= f_stop:
             return _finish(x, y, val, 0.0, it, weights, points)
         g = 2.0 * (y - x)
         s, sk = body.lmo(g)
@@ -177,8 +155,7 @@ def frank_wolfe(
             w = weights[away_key]
             gmax = w / (1.0 - w) if w < 1.0 else 1e12
         dd = float(d @ d)
-        step = 0.0 if dd <= 0.0 else min(max(float((x - y) @ d) / dd, 0.0), gmax)
-        gamma = min(step, gmax)
+        gamma = 0.0 if dd <= 0.0 else min(max(float((x - y) @ d) / dd, 0.0), gmax)
         if toward:
             if gamma >= 1.0:
                 weights = {sk: 1.0}
@@ -192,20 +169,17 @@ def frank_wolfe(
             for k in weights:
                 weights[k] *= 1.0 + gamma
             weights[away_key] -= gamma
-            if weights[away_key] <= 1e-15:
-                del weights[away_key]
-                del points[away_key]
         y = y + gamma * d
-        for k in [k for k, w in weights.items() if w <= 1e-15 and k in points]:
+        for k in [k for k, w in weights.items() if w <= 1e-15]:
             del weights[k]
             del points[k]
         if (it + 1) % 256 == 0:
             y = _combine(weights, points)
 
     if on_cap == "return":
-        return _finish(x, y, _sq_dist(x, y), gap, max_iter, weights, points)
+        return _finish(x, y, _sq_dist(x, y), gap, MAX_ITER, weights, points)
     raise ConvergenceError(
-        f"Frank-Wolfe did not converge within {max_iter} iterations", gap
+        f"Frank-Wolfe did not converge within {MAX_ITER} iterations", gap
     )
 
 

@@ -9,6 +9,7 @@ whole downstream geometry exactly computable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -134,16 +135,22 @@ def validate(model: Model) -> ValidationReport:
     """
     issues = []
     probs = model.probs
-    if np.any(probs < 0):
+    if not np.all(np.isfinite(probs)):
+        issues.append("state probabilities must be finite")
+    elif np.any(probs < 0):
         issues.append("state probabilities must be nonnegative")
     total = float(probs.sum())
     if abs(total - 1.0) > PROB_TOL:
         issues.append(f"state probabilities sum to {total!r}, expected 1")
+    if not math.isfinite(model.bound):
+        issues.append(f"the bound must be finite, got {model.bound!r}")
     for i, arr in enumerate(model.options):
         if arr.shape[0] == 0:
             issues.append(
                 f"state '{model.label(i)}' has no options (no feasible choice exists)"
             )
+        elif not np.all(np.isfinite(arr)):
+            issues.append(f"state '{model.label(i)}' has a non-finite option entry")
         elif arr.size:
             worst = float(np.linalg.norm(arr, axis=1).max())
             if worst > model.bound + 1e-9:

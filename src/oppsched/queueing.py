@@ -16,7 +16,7 @@ from .errors import InputError
 from .model import Model
 from .policy import MaxWeightPolicy
 from .randomize import MAX_SLOT, RandSource, slot_uniforms
-from .region import RateRegion, rate_region, shortfall, support
+from .region import RateRegion, shortfall, support
 from .sim import Trace, run
 
 STABLE_SLOPE = 0.01
@@ -61,6 +61,8 @@ class BernoulliArrivals:
     def __post_init__(self):
         prob = np.asarray(self.prob, dtype=np.float64)
         batch = np.asarray(self.batch, dtype=np.float64)
+        if not (np.all(np.isfinite(prob)) and np.all(np.isfinite(batch))):
+            raise InputError("arrival probabilities and batch sizes must be finite")
         if np.any(prob < 0) or np.any(prob > 1):
             raise InputError("arrival probabilities must lie in [0, 1]")
         if np.any(batch < 0):
@@ -114,14 +116,7 @@ class StabilityReport:
     trace: Trace
 
 
-def run_maxweight(
-    model: Model,
-    arrivals,
-    horizon: int,
-    seed: int,
-    *,
-    region: RateRegion | None = None,
-) -> StabilityReport:
+def run_maxweight(model: Model, arrivals, horizon: int, seed: int) -> StabilityReport:
     """Serve the arrivals with the backlog-greedy rule and judge stability.
 
     Stability here means the least-squares drift slope of the backlog norm
@@ -130,15 +125,8 @@ def run_maxweight(
     """
     if horizon < 1000:
         raise InputError("stability runs need a horizon of at least 1000 slots")
-    reg = region if region is not None else rate_region(model)
     trace = run(
-        model,
-        MaxWeightPolicy(),
-        horizon,
-        seed,
-        arrivals=arrivals,
-        region=reg,
-        compute_dists=False,
+        model, MaxWeightPolicy(), horizon, seed, arrivals=arrivals, compute_dists=False
     )
     norms = np.linalg.norm(trace.queues, axis=1)
     ks = np.arange(1, horizon + 1, dtype=np.float64)

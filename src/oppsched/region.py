@@ -53,7 +53,7 @@ def rate_region(model: Model) -> RateRegion:
             point += probs[s] * options[s][idx]
         return point, tuple(choices)
 
-    body = ConvexBody(dim=model.m, bound=model.bound, oracle=oracle)
+    body = ConvexBody(dim=model.m, oracle=oracle)
     return RateRegion(model=model, body=body)
 
 
@@ -102,7 +102,7 @@ class MembershipResult:
         return self.inside
 
 
-def _check_tol(tol) -> None:
+def check_tol(tol) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be a positive finite number, got {tol!r}")
 
@@ -118,7 +118,7 @@ def membership(region: RateRegion, x, tol: float = 1e-10) -> MembershipResult:
     distance itself under tol, since the duality gap cannot be resolved past
     float precision at that scale.
     """
-    _check_tol(tol)
+    check_tol(tol)
     x = geometry.as_vector(x, region.dim)
     res = geometry.frank_wolfe(region.body, x, tol=_GAP_FLOOR, f_stop=tol)
     if tol < _GAP_FLOOR and tol < res.value <= tol + 2.0 * _GAP_FLOOR:
@@ -149,7 +149,7 @@ def _min_shortfall(region: RateRegion, a, tol: float) -> float:
     any point of R can exceed a.  Raising a to R's coordinatewise minimum
     changes no shortfall and keeps L within R's width.
     """
-    _check_tol(tol)
+    check_tol(tol)
     a = geometry.as_vector(a, region.dim)
     axes = np.eye(region.dim)
     lo = np.array([-support(region, -e) for e in axes])
@@ -161,8 +161,7 @@ def _min_shortfall(region: RateRegion, a, tol: float) -> float:
         up = d > 0
         return point - drop * up, (tag, up.tobytes())
 
-    bound = region.body.bound + drop * math.sqrt(region.dim)
-    lowered = ConvexBody.from_lmo(region.dim, oracle, bound)
+    lowered = ConvexBody(dim=region.dim, oracle=oracle)
     return geometry.frank_wolfe(lowered, a, tol=min(tol, _GAP_FLOOR), f_stop=tol).value
 
 
@@ -205,7 +204,7 @@ def decompose(region: RateRegion, x, tol: float = 1e-10) -> TargetDecomposition:
     The verdict comes from that same projection, which runs membership's
     iterates further, except where the gap cannot certify.
     """
-    _check_tol(tol)
+    check_tol(tol)
     x = geometry.as_vector(x, region.dim)
     # Below the floor membership decides before the solve.
     gap_certifies = tol >= _GAP_FLOOR

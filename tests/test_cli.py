@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from oppsched import cli, queueing
 from oppsched.cli import main
 
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called before the inputs were checked")
 
 
 @pytest.fixture
@@ -151,12 +156,14 @@ class TestSimulateCommand:
         )
         assert code == 2
 
-    def test_nan_tol_exit_2(self, tmp_path, capsys, two_state_doc):
+    def test_nan_tol_exit_2(self, tmp_path, capsys, monkeypatch, two_state_doc):
         model = write_json(tmp_path / "m.json", two_state_doc)
         policy = write_json(tmp_path / "p.json", {"kind": "deterministic"})
+        # The tolerance is refused before any slot is simulated.
+        monkeypatch.setattr(cli, "run", refuse_call)
         code = main(
             [
-                "simulate", "--model", model, "--policy", policy, "--horizon", "100",
+                "simulate", "--model", model, "--policy", policy, "--horizon", "100000",
                 "--tol", "nan", "--out", str(tmp_path / "nan"), "--quiet",
             ]
         )
@@ -210,9 +217,11 @@ class TestQueueCommand:
         assert main(["queue", "--model", model]) == 2
         assert "arrivals" in capsys.readouterr().err
 
-    def test_nan_tol_exit_2(self, tmp_path, capsys, simplex_doc):
+    def test_nan_tol_exit_2(self, tmp_path, capsys, monkeypatch, simplex_doc):
         simplex_doc["arrivals"] = {"kind": "deterministic", "rate": [0.2, 0.2]}
         model = write_json(tmp_path / "m.json", simplex_doc)
-        code = main(["queue", "--model", model, "--horizon", "1000", "--tol", "nan"])
+        # The tolerance is refused before the max-weight run starts.
+        monkeypatch.setattr(queueing, "run_maxweight", refuse_call)
+        code = main(["queue", "--model", model, "--horizon", "100000", "--tol", "nan"])
         assert code == 2
         assert "tolerance must be a positive finite number" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oppsched import ConvexBody, HalfSpace, hull_generators, outer_halfspaces, project, support
+from oppsched import geometry
 from oppsched.errors import ConvergenceError, InputError
 from oppsched.geometry import frank_wolfe
 
@@ -10,14 +11,16 @@ def interval_body(lo=0.0, hi=1.5):
     return ConvexBody.from_points([[lo], [hi]])
 
 
+TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
 def triangle_body():
-    return ConvexBody.from_points([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    return ConvexBody.from_points(TRIANGLE)
 
 
-def random_body(rng, m=None):
-    m = m or int(rng.integers(1, 4))
-    pts = rng.uniform(-2, 2, size=(int(rng.integers(2, 8)), m))
-    return ConvexBody.from_points(pts)
+def random_points(rng):
+    m = int(rng.integers(1, 4))
+    return rng.uniform(-2, 2, size=(int(rng.integers(2, 8)), m))
 
 
 class TestSupport:
@@ -33,21 +36,18 @@ class TestSupport:
     def test_subadditive(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            body = random_body(rng)
+            body = ConvexBody.from_points(random_points(rng))
             a = rng.standard_normal(body.dim)
             b = rng.standard_normal(body.dim)
             assert support(body, a + b) <= support(body, a) + support(body, b) + 1e-12
 
     def test_lmo_form_matches_generator_form(self):
         gens = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]])
-        gen_body = ConvexBody.from_points(gens)
-        lmo_body = ConvexBody.from_lmo(
-            2, lambda d: gens[int(np.argmin(gens @ d))], bound=4.0
-        )
+        body = ConvexBody.from_points(gens)
         rng = np.random.default_rng(1)
         for _ in range(30):
             d = rng.standard_normal(2)
-            assert support(gen_body, d) == pytest.approx(support(lmo_body, d), abs=1e-12)
+            assert support(body, d) == pytest.approx(float(np.max(gens @ d)), abs=1e-12)
 
 
 class TestProject:
@@ -71,25 +71,26 @@ class TestProject:
         rng = np.random.default_rng(2)
         tol = 1e-10
         for _ in range(40):
-            body = random_body(rng)
-            x = rng.uniform(-3, 3, size=body.dim)
-            point, dist = project(body, x, tol)
+            gens = random_points(rng)
+            x = rng.uniform(-3, 3, size=gens.shape[1])
+            point, dist = project(ConvexBody.from_points(gens), x, tol)
             slack = np.sqrt(tol) * max(dist, 1.0)
-            for g in body.generators:
+            for g in gens:
                 assert float((x - point) @ (g - point)) <= slack + 1e-9
 
     def test_membership_consistency_with_support(self):
         rng = np.random.default_rng(3)
         tol = 1e-10
         for _ in range(30):
-            body = random_body(rng)
-            gens = body.generators
+            gens = random_points(rng)
+            body = ConvexBody.from_points(gens)
             w = rng.random(gens.shape[0])
             w /= w.sum()
             inside = w @ gens
             direction = rng.standard_normal(body.dim)
             direction /= np.linalg.norm(direction)
-            outside = inside + direction * (2.0 * body.bound + 1.0)
+            radius = float(np.max(np.linalg.norm(gens, axis=1)))
+            outside = inside + direction * (2.0 * radius + 1.0)
             for x, expect_in in ((inside, True), (outside, False)):
                 _, dist = project(body, x, tol)
                 dirs = rng.standard_normal((64, body.dim))
@@ -102,10 +103,10 @@ class TestProject:
                     assert dist > np.sqrt(tol)
                     assert margin > 1e-6
 
-    def test_iteration_cap_raises_with_gap(self):
-        body = triangle_body()
+    def test_iteration_cap_raises_with_gap(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc:
-            frank_wolfe(body, [2.0, 1.1], tol=1e-16, max_iter=1)
+            frank_wolfe(triangle_body(), [2.0, 1.1], tol=1e-16)
         assert exc.value.gap > 0
 
 
@@ -116,9 +117,8 @@ class TestOuterHalfspaces:
         assert hs[1].b == pytest.approx(0.0)
 
     def test_single_direction_contains_generators(self):
-        body = triangle_body()
-        (h,) = outer_halfspaces(body, [[0.3, 0.9]])
-        for g in body.generators:
+        (h,) = outer_halfspaces(triangle_body(), [[0.3, 0.9]])
+        for g in TRIANGLE:
             assert h.contains(g, slack=1e-9)
 
     def test_axis_directions_box_the_simplex(self):
@@ -135,10 +135,10 @@ class TestOuterHalfspaces:
     def test_soundness_random(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            body = random_body(rng)
-            dirs = rng.standard_normal((16, body.dim))
-            for h in outer_halfspaces(body, dirs):
-                for g in body.generators:
+            gens = random_points(rng)
+            dirs = rng.standard_normal((16, gens.shape[1]))
+            for h in outer_halfspaces(ConvexBody.from_points(gens), dirs):
+                for g in gens:
                     assert h.contains(g, slack=1e-9)
 
     def test_unit_normal_invariant(self):

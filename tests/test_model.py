@@ -19,7 +19,25 @@ from oppsched.model import model_to_dict, sample_states
 from oppsched.randomize import slot_uniforms
 
 
+# One non-finite entry per case: (probs, per-state options, declared bound).
+NON_FINITE = {
+    "nan-prob": ([np.nan, 1.0], [[[1.0]], [[2.0]]], None),
+    "inf-prob": ([np.inf, 0.5], [[[1.0]], [[2.0]]], None),
+    "nan-option": ([0.5, 0.5], [[[np.nan]], [[2.0]]], 2.0),
+    "inf-option": ([0.5, 0.5], [[[np.inf]], [[2.0]]], None),
+    "neg-inf-option": ([0.5, 0.5], [[[-np.inf]], [[2.0]]], None),
+    "nan-bound": ([0.5, 0.5], [[[1.0]], [[2.0]]], np.nan),
+    "inf-bound": ([0.5, 0.5], [[[1.0]], [[2.0]]], np.inf),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("probs, options, bound", NON_FINITE.values(), ids=list(NON_FINITE))
+    def test_non_finite_inputs_rejected(self, probs, options, bound):
+        report = validate(build_model(["a", "b"], probs, options, bound=bound))
+        assert not report.ok
+        assert any("finite" in issue for issue in report.issues)
+
     def test_two_state_reference_ok(self, two_state_model):
         report = validate(two_state_model)
         assert report.ok
@@ -171,6 +189,23 @@ class TestJsonSchema:
                     ],
                 }
             )
+
+    @pytest.mark.parametrize("probs, options, bound", NON_FINITE.values(), ids=list(NON_FINITE))
+    def test_non_finite_model_file_rejected(self, tmp_path, probs, options, bound):
+        # Python's json reads and writes NaN and Infinity.
+        doc = {
+            "m": 1,
+            "states": [
+                {"label": label, "prob": p, "options": opts}
+                for label, p, opts in zip("ab", probs, options)
+            ],
+        }
+        if bound is not None:
+            doc["bound"] = bound
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="finite"):
+            model_from_json(path)
 
     def test_malformed_lambda_rejected(self):
         with pytest.raises(InputError, match="sum to"):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from oppsched import (
     RandSource,
     build_model,
     dominance,
-    rate_region,
     run_maxweight,
     step,
 )
@@ -69,6 +69,16 @@ class TestArrivals:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "prob, batch", [("NaN", "1.0"), ("0.5", "Infinity"), ("0.5", "NaN"), ("Infinity", "0.0")]
+    )
+    def test_bernoulli_rejects_non_finite(self, prob, batch):
+        doc = json.loads(f'{{"kind": "bernoulli", "prob": [{prob}], "batch": [{batch}]}}')
+        with pytest.raises(InputError, match="finite"):
+            arrivals_from_dict(doc)
+        with pytest.raises(InputError, match="finite"):
+            BernoulliArrivals(prob=np.array(doc["prob"]), batch=np.array(doc["batch"]))
+
     def test_json_forms(self):
         det = arrivals_from_dict({"kind": "deterministic", "rate": [0.2, 0.2]})
         assert isinstance(det, DeterministicArrivals)
@@ -81,57 +91,50 @@ class TestArrivals:
 
 
 class TestRunMaxweight:
-    def test_feasible_load_is_stable(self, simplex_model, simplex_region):
+    def test_feasible_load_is_stable(self, simplex_model):
         report = run_maxweight(
             simplex_model,
             DeterministicArrivals(np.array([0.4, 0.4])),
             100_000,
             7,
-            region=simplex_region,
         )
         assert report.stable
         assert report.tail_avg_queue_norm <= 50.0
         assert report.drift_slope <= 1e-3
 
-    def test_overload_grows_linearly(self, simplex_model, simplex_region):
+    def test_overload_grows_linearly(self, simplex_model):
         report = run_maxweight(
             simplex_model,
             DeterministicArrivals(np.array([0.6, 0.6])),
             100_000,
             7,
-            region=simplex_region,
         )
         assert not report.stable
         # per-component deficit 0.1 each: backlog norm grows ~ 0.1*sqrt(2)
         assert report.drift_slope >= 0.12
 
-    def test_zero_arrivals_zero_queues(self, simplex_model, simplex_region):
+    def test_zero_arrivals_zero_queues(self, simplex_model):
         report = run_maxweight(
             simplex_model,
             DeterministicArrivals(np.array([0.0, 0.0])),
             2000,
             1,
-            region=simplex_region,
         )
         assert np.all(report.trace.queues == 0.0)
         assert report.stable
 
-    def test_queues_never_negative(self, simplex_model, simplex_region):
+    def test_queues_never_negative(self, simplex_model):
         report = run_maxweight(
             simplex_model,
             BernoulliArrivals(prob=np.array([0.5, 0.5]), batch=np.array([0.9, 0.9])),
             5000,
             9,
-            region=simplex_region,
         )
         assert np.all(report.trace.queues >= 0.0)
 
     def test_work_conservation_single_option(self):
         model = build_model(["only"], [1.0], [[[0.75]]])
-        region = rate_region(model)
-        report = run_maxweight(
-            model, DeterministicArrivals(np.array([0.5])), 2000, 2, region=region
-        )
+        report = run_maxweight(model, DeterministicArrivals(np.array([0.5])), 2000, 2)
         served = (
             report.trace.queues[:-1, 0]
             + report.trace.arrivals[1:, 0]
@@ -157,8 +160,7 @@ class TestDominanceAgreement:
             if abs(margin) < 0.05:
                 continue
             report = run_maxweight(
-                simplex_model, DeterministicArrivals(a), 30_000, 3,
-                region=simplex_region,
+                simplex_model, DeterministicArrivals(a), 30_000, 3
             )
             assert report.stable == dominance(simplex_region, a)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -31,11 +32,9 @@ from oppsched.sim import ConditionalMembershipReport, checkpoint_slots
 from conftest import downlink_model, random_small_model
 
 
-def ref_verify_conditional(model, policy, slot, levels=None, dist_tol=1e-9, region=None):
+def ref_verify_conditional(model, policy, slot, dist_tol=1e-9, region=None):
     """One membership solve per state prefix, stopping at the first failure."""
     reg = region if region is not None else rate_region(model)
-    if levels is None:
-        levels = getattr(policy, "levels", 1)
     tol_f = dist_tol * dist_tol
     max_dist = 0.0
     count = 0
@@ -312,6 +311,21 @@ class TestAvgConvergence:
         assert report.passed
         assert report.final_dist <= report.final_bound
 
+    def test_mid_run_checkpoint_past_its_bound_fails(self, two_state_model, two_state_region):
+        policy = deterministic_policy(two_state_model)
+        trace = run(two_state_model, policy, 100_000, 3, region=two_state_region)
+        # Forge the distances: the final checkpoint holds, one checkpoint
+        # after burn-in sits at twice its 3*D/sqrt(c) bound.
+        forged = np.zeros_like(trace.checkpoint_dists)
+        c = 32768
+        forged[trace.checkpoints.tolist().index(c)] = 6.0 * two_state_model.bound / math.sqrt(c)
+        report = verify_avg_convergence(
+            dataclasses.replace(trace, checkpoint_dists=forged), two_state_region
+        )
+        assert report.final_dist <= report.final_bound
+        assert not report.passed
+        assert not report.within_bound_after_burn_in
+
     def test_short_horizon_flagged(self, two_state_model, two_state_region):
         policy = deterministic_policy(two_state_model)
         trace = run(two_state_model, policy, 1, 1, region=two_state_region)
@@ -325,7 +339,7 @@ class TestConditionalMembership:
             weights=(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
         )
         report = verify_conditional_membership(
-            two_state_model, policy, 3, levels=4, region=two_state_region
+            two_state_model, policy, 3, region=two_state_region
         )
         assert report.passed
         assert report.prefixes == 4  # state prefixes of length 2
@@ -358,7 +372,7 @@ class TestConditionalMembership:
             weights=(np.array([0.75, 0.25]), np.array([0.25, 0.75]))
         )
         cond = verify_conditional_membership(
-            two_state_model, policy, 1, levels=4, region=two_state_region
+            two_state_model, policy, 1, region=two_state_region
         )
         mc = verify_mean_membership(
             two_state_model, policy, replications=1000, slot=1, region=two_state_region
@@ -410,7 +424,18 @@ class TestConditionalMembership:
             weights=(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         )
         with pytest.raises(InputError, match="smaller slot"):
-            verify_conditional_membership(two_state_model, policy, 12, levels=8, cap=100)
+            verify_conditional_membership(two_state_model, policy, 12, cap=100)
+
+    def test_cap_counts_state_prefixes_not_levels(self, two_state_model, two_state_region):
+        # 2^5 = 32 state prefixes at slot 6, however many randomization levels.
+        policy = CustomPolicy(table={((0,), 7): 1, ((1, 0), 3): 1}, levels=8, psi=(0, 0))
+        report = verify_conditional_membership(
+            two_state_model, policy, 6, region=two_state_region
+        )
+        assert report == ref_verify_conditional(
+            two_state_model, policy, 6, region=two_state_region
+        )
+        assert report.passed and report.prefixes == 32
 
 
 class TestMartingale:
