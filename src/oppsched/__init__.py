@@ -10,9 +10,7 @@ from .errors import ConvergenceError, InputError, MeasurabilityError, Membership
 from .geometry import (
     ConvexBody,
     HalfSpace,
-    hull_generators,
     outer_halfspaces,
-    project,
     support,
 )
 from .model import (
@@ -29,12 +27,10 @@ from .model import (
 from .policy import (
     CustomPolicy,
     DeterministicPolicy,
-    History,
     MaxWeightPolicy,
     Policy,
     RandomizedStationaryPolicy,
     TargetPolicy,
-    decide,
     deterministic_policy,
     max_weight,
     target_policy,
@@ -46,7 +42,7 @@ from .queueing import (
     run_maxweight,
     step,
 )
-from .randomize import RandSource, draw_option, slot_uniform, slot_uniforms
+from .randomize import RandSource, slot_uniform, slot_uniforms
 from .region import (
     RateRegion,
     TargetDecomposition,

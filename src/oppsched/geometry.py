@@ -201,21 +201,6 @@ def _finish(x, y, val, gap, iterations, weights, points) -> FWResult:
     return FWResult(point=y, value=val, gap=gap, iterations=iterations, atoms=atoms)
 
 
-class ProjectionResult(NamedTuple):
-    point: np.ndarray
-    dist: float
-
-
-def project(body: ConvexBody, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Closest body point to x plus the distance, certified by the duality gap.
-
-    On exit ||x - y*||^2 exceeds the true minimum by at most ``tol``, so the
-    distance is 0 within sqrt(tol) exactly when x lies in the body.
-    """
-    res = frank_wolfe(body, x, tol=tol)
-    return ProjectionResult(res.point, float(np.sqrt(max(res.value, 0.0))))
-
-
 def outer_halfspaces(body: ConvexBody, dirs: Sequence) -> list[HalfSpace]:
     """Supporting half-spaces in the given directions; their intersection
     contains the body."""
@@ -228,47 +213,3 @@ def outer_halfspaces(body: ConvexBody, dirs: Sequence) -> list[HalfSpace]:
         a = d / norm
         out.append(HalfSpace(a, support(body, a)))
     return out
-
-
-def hull_generators(points) -> np.ndarray:
-    """Generating subset with the same convex hull.
-
-    Exact and minimal for dimensions 1 and 2; for higher dimensions only
-    duplicate points are removed (hull preserved, minimality best-effort).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.size == 0:
-        raise InputError("at least one point is required")
-    m = pts.shape[1]
-    if m == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        if lo == hi:
-            return np.array([[lo]])
-        return np.array([[lo], [hi]])
-    if m == 2:
-        return _planar_hull(pts)
-    uniq = sorted({tuple(p) for p in pts})
-    return np.array(uniq)
-
-
-def _planar_hull(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull; collinear interior points are dropped."""
-    points = sorted({(float(p[0]), float(p[1])) for p in pts})
-    if len(points) <= 2:
-        return np.array(points)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in points:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(points):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return np.array(sorted(hull))

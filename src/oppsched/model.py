@@ -85,6 +85,14 @@ class Model:
     def cumulative(self) -> np.ndarray:
         return cumulative(self.probs)
 
+    def stationary_mean(self, weights) -> np.ndarray:
+        """Expected decision vector when state s picks its options with
+        probabilities weights[s]: the sum over s of p_s (weights[s] . options_s)."""
+        out = np.zeros(self.m)
+        for s in range(self.n_states):
+            out += self.probs[s] * (weights[s] @ self.options[s])
+        return out
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -17,27 +17,8 @@ import numpy as np
 
 from .errors import InputError
 from .model import Model, validate
-from .randomize import RandSource, cumulative, slot_uniform
+from .randomize import cumulative
 from .region import RateRegion, TargetDecomposition, decompose
-
-
-@dataclass(frozen=True)
-class History:
-    """Observed state indices up to the current slot, plus the queue backlog
-    when a queue-aware rule is running."""
-
-    states: tuple[int, ...]
-    queue: np.ndarray | None = None
-
-    @property
-    def k(self) -> int:
-        return len(self.states)
-
-    @property
-    def current(self) -> int:
-        if not self.states:
-            raise InputError("history must contain at least one state")
-        return self.states[-1]
 
 
 def max_weight(q, options) -> int:
@@ -56,6 +37,7 @@ class Policy:
 
     uses_queue = False
     uses_randomness = True  # whether the slot uniform influences decisions
+    stationary = False  # whether slot_mean ignores the prefix and the backlog
 
     def select(self, model: Model, states, u: float, queue=None) -> tuple[int, bool]:
         """Option index for the current state, plus a fallback flag.
@@ -83,6 +65,7 @@ class DeterministicPolicy(Policy):
     """Fixed choice function: always option psi[s] in state s."""
 
     uses_randomness = False
+    stationary = True
 
     psi: tuple[int, ...]
 
@@ -105,6 +88,8 @@ class DeterministicPolicy(Policy):
 @dataclass(frozen=True)
 class RandomizedStationaryPolicy(Policy):
     """Per-state time sharing: option i in state s with probability weights[s][i]."""
+
+    stationary = True
 
     weights: tuple[np.ndarray, ...]
 
@@ -135,10 +120,7 @@ class RandomizedStationaryPolicy(Policy):
         return out
 
     def slot_mean(self, model, prefix=(), queue=None):
-        out = np.zeros(model.m)
-        for s in range(model.n_states):
-            out += model.probs[s] * (self.weights[s] @ model.options[s])
-        return out
+        return model.stationary_mean(self.weights)
 
     def kind(self):
         return "randomized"
@@ -166,8 +148,9 @@ class MaxWeightPolicy(Policy):
     uses_randomness = False
 
     def select(self, model, states, u, queue=None):
-        # The backlog comes from the slot engine or from ``decide``, which
-        # checks it; the bare argmax keeps the per-slot loop cheap.
+        # The backlog comes from the slot engine, which keeps it a
+        # nonnegative length-m vector; the bare argmax keeps the per-slot
+        # loop cheap.
         return int(np.argmax(model.options[states[-1]] @ queue)), False
 
     def slot_mean(self, model, prefix=(), queue=None):
@@ -183,7 +166,7 @@ class MaxWeightPolicy(Policy):
 
 @dataclass(frozen=True)
 class CustomPolicy(Policy):
-    """History-dependent rule given as a finite decision table.
+    """Prefix-dependent rule given as a finite decision table.
 
     Keys are (state-index prefix, quantized uniform level); the slot uniform
     is quantized into ``levels`` equal cells.  Missing entries fall back to
@@ -232,26 +215,6 @@ class CustomPolicy(Policy):
 
     def kind(self):
         return "custom"
-
-
-def decide(policy: Policy, model: Model, hist: History, src: RandSource) -> int:
-    """Option index for the current slot, using only the observed prefix and
-    the slot uniforms derived from the source."""
-    if not hist.states:
-        raise InputError("history must contain at least one state")
-    s = hist.current
-    if not (0 <= s < model.n_states):
-        raise InputError(f"state index {s} out of range")
-    queue = None
-    if policy.uses_queue:
-        queue = np.zeros(model.m) if hist.queue is None else np.asarray(hist.queue, float)
-        if queue.shape != (model.m,) or np.any(queue < 0):
-            raise InputError(f"queue must be a nonnegative vector of length {model.m}")
-    u = slot_uniform(src, hist.k)
-    idx, _ = policy.select(model, hist.states, u, queue)
-    if not (0 <= idx < model.options[s].shape[0]):
-        raise InputError(f"policy produced invalid option {idx} for state {s}")
-    return idx
 
 
 def target_policy(region: RateRegion, x, tol: float = 1e-10) -> TargetPolicy:

@@ -109,14 +109,6 @@ class RandSource:
     def __post_init__(self):
         object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
 
-    def uniform(self, k: int) -> float:
-        """The slot-k uniform U_k in [0, 1)."""
-        return slot_uniform(self, k)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """U_1..U_count as one array (same values as repeated ``uniform`` calls)."""
-        return slot_uniforms(self, np.arange(1, count + 1, dtype=np.uint64))
-
     def stream(self, tag: str) -> "RandSource":
         """An unrelated child source addressed by a stable name."""
         digest = hashlib.blake2b(tag.encode(), digest_size=8).digest()
@@ -136,7 +128,8 @@ def slot_uniforms(src: RandSource, ks: np.ndarray) -> np.ndarray:
 
 
 def uniform_across_seeds(seeds, k: int) -> np.ndarray:
-    """U_k under many seeds at once; equals RandSource(seed).uniform(k) per entry.
+    """U_k under many seeds at once; equals slot_uniform(RandSource(seed), k)
+    per entry.
 
     Meant for statistical audits that sample the slot-k uniform across a
     population of sources.
@@ -150,19 +143,3 @@ def cumulative(weights) -> np.ndarray:
     cum = np.cumsum(weights)
     cum[-1] = max(cum[-1], 1.0)
     return cum
-
-
-def draw_option(u: float, weights) -> int:
-    """Inverse-CDF index of u under the given simplex weights; ties go low.
-
-    Returns the first index i with cumsum(weights)[i] >= u.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise InputError("weights must be a nonempty vector")
-    if np.any(w < -1e-15):
-        raise InputError("weights must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    return int(np.searchsorted(cumulative(w), u, side="left"))

@@ -189,10 +189,7 @@ class TargetDecomposition:
     residual: float
 
     def mean(self, model: Model) -> np.ndarray:
-        out = np.zeros(model.m)
-        for s in range(model.n_states):
-            out += model.probs[s] * (self.weights[s] @ model.options[s])
-        return out
+        return model.stationary_mean(self.weights)
 
 
 def decompose(region: RateRegion, x, tol: float = 1e-10) -> TargetDecomposition:
@@ -225,13 +222,11 @@ def decompose(region: RateRegion, x, tol: float = 1e-10) -> TargetDecomposition:
         choices = atom.tag
         for s, idx in enumerate(choices):
             weights[s][idx] += atom.weight
-    mean = np.zeros(model.m)
-    for s in range(model.n_states):
-        total = weights[s].sum()
+    for w in weights:
+        total = w.sum()
         if total > 0:
-            weights[s] /= total
-        mean += model.probs[s] * (weights[s] @ model.options[s])
-    residual = float(np.linalg.norm(mean - x))
+            w /= total
+    residual = float(np.linalg.norm(model.stationary_mean(weights) - x))
     if residual > math.sqrt(tol):
         raise MembershipError(x.tolist(), None)
     return TargetDecomposition(target=x, weights=tuple(weights), residual=residual)

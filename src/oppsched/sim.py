@@ -341,10 +341,11 @@ def verify_avg_convergence(
 ) -> AvgConvergenceReport:
     """Check the trace's running average approaches the region.
 
-    The final checkpoint distance must fall under 3*D/sqrt(K) + sqrt(tol),
-    and after a burn-in of K/10 every checkpoint c must satisfy
-    dist <= 3*D/sqrt(c) + sqrt(tol).  Horizons under 100 slots are marked
-    insufficient and only the final bound is asserted.
+    The last checkpoint's distance must fall under 3*D/sqrt(c) + sqrt(tol)
+    at that checkpoint's slot c (the horizon K by default), and after a
+    burn-in of K/10 every checkpoint c must satisfy the same bound.  Horizons
+    under 100 slots are marked insufficient and only the final bound is
+    asserted.
     """
     if checkpoints is None:
         cps, dists = trace.checkpoints, trace.checkpoint_dists
@@ -360,7 +361,7 @@ def verify_avg_convergence(
     bound = region.model.bound
     slack = math.sqrt(tol)
     final_dist = float(dists[-1])
-    final_bound = 3.0 * bound / math.sqrt(horizon) + slack
+    final_bound = 3.0 * bound / math.sqrt(int(cps[-1])) + slack
     burn_in = horizon // 10
     insufficient = horizon < 100
     within = all(
@@ -461,10 +462,10 @@ def martingale_check(trace: Trace, model: Model, policy: Policy) -> MartingaleCh
     Means come from the policy weights, never from estimates, so the partial
     sums average a genuine zero-mean bounded sequence.
     """
-    if policy.kind() in ("deterministic", "randomized", "target"):
+    if policy.stationary:
         diffs = trace.x - policy.slot_mean(model)
     else:
-        # History rules read the state prefix, queue rules the backlog
+        # Table rules read the state prefix, queue rules the backlog
         # before the slot; each ignores the other.
         diffs = np.empty((trace.horizon, model.m))
         queue = np.zeros(model.m)

@@ -149,6 +149,24 @@ class TestSimulateCommand:
         assert report["insufficient_horizon"]
         assert len((tmp_path / "one.trace.csv").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_early_checkpoints_bounded_at_their_slot(self, tmp_path, seed, two_state_doc):
+        # The last given checkpoint is slot 20, so its distance is held to
+        # 3*D/sqrt(20) + sqrt(tol), not to the bound at the horizon.
+        model = write_json(tmp_path / "m.json", two_state_doc)
+        policy = write_json(tmp_path / "p.json", {"kind": "target", "x": [1.5]})
+        out_prefix = str(tmp_path / "early")
+        code = main(
+            [
+                "simulate", "--model", model, "--policy", policy,
+                "--horizon", "100000", "--seed", str(seed), "--checkpoints", "10", "20",
+                "--out", out_prefix, "--quiet",
+            ]
+        )
+        report = json.loads((tmp_path / "early.report.json").read_text())
+        assert report["final_bound"] == 3 * 2 / np.sqrt(20) + np.sqrt(1e-10)
+        assert code == 0 and report["passed"]
+
     def test_missing_model_exit_2(self, tmp_path, capsys):
         policy = write_json(tmp_path / "p.json", {"kind": "deterministic"})
         code = main(

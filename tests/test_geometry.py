@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oppsched import ConvexBody, HalfSpace, hull_generators, outer_halfspaces, project, support
+from oppsched import (
+    ConvexBody,
+    HalfSpace,
+    build_model,
+    membership,
+    outer_halfspaces,
+    rate_region,
+    support,
+)
 from oppsched import geometry
 from oppsched.errors import ConvergenceError, InputError
 from oppsched.geometry import frank_wolfe
@@ -16,6 +24,12 @@ TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 def triangle_body():
     return ConvexBody.from_points(TRIANGLE)
+
+
+def projection(body, x, tol=1e-10):
+    """Closest body point to x and its distance, from the Frank-Wolfe solve."""
+    res = frank_wolfe(body, x, tol=tol)
+    return res.point, float(np.sqrt(max(res.value, 0.0)))
 
 
 def random_points(rng):
@@ -52,18 +66,18 @@ class TestSupport:
 
 class TestProject:
     def test_point_beyond_interval(self):
-        point, dist = project(interval_body(), [2.0])
+        point, dist = projection(interval_body(), [2.0])
         assert point[0] == pytest.approx(1.5, abs=1e-6)
         assert dist == pytest.approx(0.5, abs=1e-6)
 
     def test_interior_point(self):
-        point, dist = project(interval_body(), [1.2])
+        point, dist = projection(interval_body(), [1.2])
         assert dist <= 1e-5
         assert point[0] == pytest.approx(1.2, abs=1e-5)
 
     def test_simplex_face(self):
         # closed form: (1,1) projects to the midpoint of the diagonal face
-        point, dist = project(triangle_body(), [1.0, 1.0])
+        point, dist = projection(triangle_body(), [1.0, 1.0])
         assert np.allclose(point, [0.5, 0.5], atol=1e-6)
         assert dist == pytest.approx(np.sqrt(0.5), abs=1e-6)
 
@@ -73,7 +87,7 @@ class TestProject:
         for _ in range(40):
             gens = random_points(rng)
             x = rng.uniform(-3, 3, size=gens.shape[1])
-            point, dist = project(ConvexBody.from_points(gens), x, tol)
+            point, dist = projection(ConvexBody.from_points(gens), x, tol)
             slack = np.sqrt(tol) * max(dist, 1.0)
             for g in gens:
                 assert float((x - point) @ (g - point)) <= slack + 1e-9
@@ -84,6 +98,8 @@ class TestProject:
         for _ in range(30):
             gens = random_points(rng)
             body = ConvexBody.from_points(gens)
+            # With one state the rate region is the hull of its options.
+            region = rate_region(build_model(["s"], [1.0], [gens]))
             w = rng.random(gens.shape[0])
             w /= w.sum()
             inside = w @ gens
@@ -92,7 +108,8 @@ class TestProject:
             radius = float(np.max(np.linalg.norm(gens, axis=1)))
             outside = inside + direction * (2.0 * radius + 1.0)
             for x, expect_in in ((inside, True), (outside, False)):
-                _, dist = project(body, x, tol)
+                _, dist = projection(body, x, tol)
+                assert membership(region, x, tol).inside == expect_in
                 dirs = rng.standard_normal((64, body.dim))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
                 margin = max(float(d @ x) - support(body, d) for d in dirs)
@@ -145,28 +162,3 @@ class TestOuterHalfspaces:
         with pytest.raises(InputError):
             HalfSpace(np.array([1.0, 1.0]), 2.0)
 
-
-class TestHullGenerators:
-    def test_interval_min_max(self):
-        hull = hull_generators([[0.0], [1.0], [1.5]])
-        assert sorted(hull.ravel().tolist()) == [0.0, 1.5]
-
-    def test_square_corners_survive_center_dropped(self):
-        pts = [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]]
-        hull = hull_generators(pts)
-        assert sorted(map(tuple, hull.tolist())) == [
-            (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
-        ]
-
-    def test_single_point(self):
-        assert hull_generators([[2.0, 3.0]]).tolist() == [[2.0, 3.0]]
-
-    def test_high_dim_preserves_hull(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-1, 1, size=(10, 4))
-        hull = hull_generators(np.vstack([pts, pts]))
-        body_a = ConvexBody.from_points(pts)
-        body_b = ConvexBody.from_points(hull)
-        for _ in range(40):
-            d = rng.standard_normal(4)
-            assert support(body_a, d) == pytest.approx(support(body_b, d), abs=1e-12)

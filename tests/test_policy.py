@@ -5,12 +5,10 @@ import pytest
 
 from oppsched import (
     CustomPolicy,
-    History,
     MaxWeightPolicy,
     MembershipError,
     RandomizedStationaryPolicy,
     RandSource,
-    decide,
     deterministic_policy,
     max_weight,
     run,
@@ -52,12 +50,14 @@ class TestMaxWeight:
 
 
 class TestDecide:
+    """The slot decision: ``select`` on the observed prefix and the slot uniform."""
+
     def test_deterministic_always_psi(self, two_state_model):
         policy = deterministic_policy(two_state_model)
         src = RandSource(3)
         for k in range(1, 20):
-            hist = History(states=tuple([k % 2] * k))
-            assert decide(policy, two_state_model, hist, src) == 0
+            states = [k % 2] * k
+            assert policy.select(two_state_model, states, slot_uniform(src, k)) == (0, False)
 
     def test_randomized_inverse_cdf_threshold(self, two_state_model):
         policy = RandomizedStationaryPolicy(
@@ -74,27 +74,17 @@ class TestDecide:
         assert simplex_model.options[0][idx].tolist() == [1.0, 0.0]
 
     def test_decide_consumes_slot_uniform(self, two_state_model):
+        # The engine's slot-k decision reads the slot-k uniform of the
+        # seed's policy stream.
         policy = RandomizedStationaryPolicy(
             weights=(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         )
-        src = RandSource(99)
-        hist = History(states=(0, 1, 0))
-        expected = policy.select(two_state_model, [0, 1, 0], slot_uniform(src, 3))[0]
-        assert decide(policy, two_state_model, hist, src) == expected
-
-    @given(
-        queue=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2).filter(
-            lambda q: min(q) < 0
-        )
-    )
-    def test_negative_queue_rejected(self, simplex_model, queue):
-        hist = History(states=(0,), queue=np.array(queue))
-        with pytest.raises(InputError):
-            decide(MaxWeightPolicy(), simplex_model, hist, RandSource(0))
-
-    def test_empty_history_rejected(self, two_state_model):
-        with pytest.raises(InputError):
-            decide(deterministic_policy(two_state_model), two_state_model, History(()), RandSource(0))
+        trace = run(two_state_model, policy, 64, 99, compute_dists=False)
+        src = RandSource(99).stream("policy")
+        for k in range(1, trace.horizon + 1):
+            u = slot_uniform(src, k)
+            expected = policy.select(two_state_model, trace.states[:k].tolist(), u)[0]
+            assert trace.choices[k - 1] == expected
 
 
 class TestFeasibility:
@@ -116,14 +106,10 @@ class TestFeasibility:
             for policy in policies:
                 for probe in range(40):
                     k = int(rng.integers(1, 6))
-                    states = tuple(int(rng.integers(model.n_states)) for _ in range(k))
-                    hist = History(
-                        states=states,
-                        queue=rng.uniform(0, 4, size=model.m)
-                        if policy.uses_queue
-                        else None,
-                    )
-                    idx = decide(policy, model, hist, RandSource(probe))
+                    states = [int(rng.integers(model.n_states)) for _ in range(k)]
+                    queue = rng.uniform(0, 4, size=model.m) if policy.uses_queue else None
+                    u = slot_uniform(RandSource(probe), k)
+                    idx, _ = policy.select(model, states, u, queue)
                     assert 0 <= idx < model.options[states[-1]].shape[0]
                     checked += 1
         assert checked >= 10_000
@@ -131,15 +117,15 @@ class TestFeasibility:
     def test_causality_future_states_irrelevant(self, two_state_model):
         base_table = {((0, 1), level): 1 for level in range(4)}
         policy = CustomPolicy(table=base_table, levels=4, psi=(0, 0))
-        src = RandSource(5)
-        base = decide(policy, two_state_model, History(states=(0, 1)), src)
+        u = slot_uniform(RandSource(5), 2)
+        base = policy.select(two_state_model, [0, 1], u)
         # a policy differing only on extended histories decides slot 2 the same
         for future in ((0,), (1,), (0, 0), (1, 1, 0)):
             noisy = dict(base_table)
             for level in range(4):
                 noisy[((0, 1) + future, level)] = 0
             altered = CustomPolicy(table=noisy, levels=4, psi=(0, 0))
-            assert decide(altered, two_state_model, History(states=(0, 1)), src) == base
+            assert altered.select(two_state_model, [0, 1], u) == base
 
     def test_stationary_ignores_earlier_states(self, two_state_model):
         policy = RandomizedStationaryPolicy(

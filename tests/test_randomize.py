@@ -8,7 +8,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppsched import RandSource, draw_option, slot_uniform, slot_uniforms
+from oppsched import (
+    RandomizedStationaryPolicy,
+    RandSource,
+    build_model,
+    slot_uniform,
+    slot_uniforms,
+)
 from oppsched.errors import InputError
 from oppsched import randomize
 from oppsched.randomize import bit_positions, cantor_pair, uniform_across_seeds
@@ -106,7 +112,7 @@ class TestSlotUniform:
 
     def test_values_in_unit_interval(self):
         src = RandSource(123)
-        us = src.uniforms(1000)
+        us = slot_uniforms(src, np.arange(1, 1001, dtype=np.uint64))
         assert np.all(us >= 0.0) and np.all(us < 1.0)
 
 
@@ -145,7 +151,7 @@ class TestStatisticalQuality:
         seeds = np.array([0, 1, 42, 2**63, 123456789], dtype=np.uint64)
         vec = uniform_across_seeds(seeds, 3)
         for i, t in enumerate(seeds):
-            assert vec[i] == RandSource(int(t)).uniform(3)
+            assert vec[i] == slot_uniform(RandSource(int(t)), 3)
 
     def test_chi_square_uniformity(self):
         us = uniform_across_seeds(np.arange(100_000), 1)
@@ -163,32 +169,43 @@ class TestStatisticalQuality:
         a = RandSource(9).stream("states")
         b = RandSource(9).stream("policy")
         assert a.seed != b.seed
-        ua = a.uniforms(5000)
-        ub = b.uniforms(5000)
+        ks = np.arange(1, 5001, dtype=np.uint64)
+        ua = slot_uniforms(a, ks)
+        ub = slot_uniforms(b, ks)
         assert abs(np.corrcoef(ua, ub)[0, 1]) < 0.05
 
 
 class TestDrawOption:
+    """Inverse-CDF option draws of ``RandomizedStationaryPolicy.select``."""
+
+    @staticmethod
+    def draw(u, weights):
+        model = build_model(["s"], [1.0], [[[float(i)] for i in range(len(weights))]])
+        policy = RandomizedStationaryPolicy(weights=(np.asarray(weights, dtype=np.float64),))
+        idx, fallback = policy.select(model, [0], u)
+        assert not fallback
+        return idx
+
     def test_degenerate_weights(self):
         for u in (0.0, 0.3, 0.999):
-            assert draw_option(u, [1.0, 0.0]) == 0
+            assert self.draw(u, [1.0, 0.0]) == 0
 
     def test_halfway_split(self):
-        assert draw_option(0.75, [0.5, 0.5]) == 1
-        assert draw_option(0.25, [0.5, 0.5]) == 0
+        assert self.draw(0.75, [0.5, 0.5]) == 1
+        assert self.draw(0.25, [0.5, 0.5]) == 0
 
     def test_cumulative_thresholds(self):
-        assert draw_option(0.49, [0.2, 0.3, 0.5]) == 1
-        assert draw_option(0.19, [0.2, 0.3, 0.5]) == 0
-        assert draw_option(0.51, [0.2, 0.3, 0.5]) == 2
+        assert self.draw(0.49, [0.2, 0.3, 0.5]) == 1
+        assert self.draw(0.19, [0.2, 0.3, 0.5]) == 0
+        assert self.draw(0.51, [0.2, 0.3, 0.5]) == 2
 
     def test_boundary_ties_go_low(self):
-        assert draw_option(0.5, [0.5, 0.5]) == 0
-        assert draw_option(0.2, [0.2, 0.3, 0.5]) == 0
+        assert self.draw(0.5, [0.5, 0.5]) == 0
+        assert self.draw(0.2, [0.2, 0.3, 0.5]) == 0
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
-            draw_option(0.5, [0.5, 0.4])
+            RandomizedStationaryPolicy(weights=(np.array([0.5, 0.4]),))
 
 
 class TestPrimitiveProperties:

@@ -64,6 +64,16 @@ class PrefixScaledMean(RandomizedStationaryPolicy):
         return mean * (1.0 + 0.5 * prefix[-1]) if prefix else mean
 
 
+class DeclaredNonstationary(RandomizedStationaryPolicy):
+    """A time-sharing rule that declares itself non-stationary and claims a
+    conditional mean that grows with the number of observed states."""
+
+    stationary = False
+
+    def slot_mean(self, model, prefix=(), queue=None):
+        return super().slot_mean(model, prefix, queue) * (1.0 + len(prefix))
+
+
 def ref_custom_slot_mean(policy, model, prefix):
     """Look every (prefix + state, level) key up, however long the prefix."""
     out = np.zeros(model.m)
@@ -454,6 +464,36 @@ class TestMartingale:
         check = martingale_check(trace, two_state_model, policy)
         mean = policy.slot_mean(two_state_model)
         assert np.allclose(check.diffs, trace.x - mean)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stationary_shortcut_matches_slot_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_small_model(rng)
+        weights = tuple(rng.dirichlet(np.ones(a.shape[0])) for a in model.options)
+        psi = tuple(int(rng.integers(a.shape[0])) for a in model.options)
+        policies = [
+            deterministic_policy(model, psi),
+            RandomizedStationaryPolicy(weights=weights),
+            target_policy(rate_region(model), model.stationary_mean(weights)),
+        ]
+        for policy in policies:
+            assert policy.stationary
+            trace = run(model, policy, 64, int(rng.integers(1 << 32)), compute_dists=False)
+            check = martingale_check(trace, model, policy)
+            queue = np.zeros(model.m)
+            for k in range(trace.horizon):
+                want = trace.x[k] - policy.slot_mean(model, trace.states[:k], queue)
+                assert check.diffs[k].tobytes() == want.tobytes()
+
+    def test_declared_nonstationary_subclass_takes_slot_loop(self, two_state_model):
+        assert not MaxWeightPolicy.stationary and not CustomPolicy.stationary
+        policy = DeclaredNonstationary(weights=(np.array([0.5, 0.5]), np.array([0.25, 0.75])))
+        trace = run(two_state_model, policy, 200, 24, compute_dists=False)
+        check = martingale_check(trace, two_state_model, policy)
+        mean = RandomizedStationaryPolicy.slot_mean(policy, two_state_model)
+        for k in range(trace.horizon):
+            want = trace.x[k] - mean * (1.0 + k)
+            assert check.diffs[k].tobytes() == want.tobytes()
 
     def test_custom_diffs_match_full_prefix_lookups(self, two_state_model):
         table = {((0,), 0): 1, ((1, 1), 1): 1, ((0, 1, 1), 0): 1, ((1, 0), 2): 7}
