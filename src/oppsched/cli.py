@@ -118,16 +118,13 @@ def cmd_simulate(args) -> int:
     arrivals = None
     if "arrivals" in model_doc:
         arrivals = queueing.arrivals_from_dict(model_doc["arrivals"])
-    trace = run(
-        model, policy, args.horizon, args.seed,
-        arrivals=arrivals, region=reg, tol=args.tol,
-    )
+    trace = run(model, policy, args.horizon, args.seed, arrivals=arrivals)
     checkpoints = args.checkpoints if args.checkpoints else None
     report = verify_avg_convergence(trace, reg, checkpoints=checkpoints, tol=args.tol)
     out_prefix = args.out or "run"
     trace_path = f"{out_prefix}.trace.csv"
     report_path = f"{out_prefix}.report.json"
-    write_trace_csv(trace, model, trace_path)
+    write_trace_csv(trace, model, trace_path, report)
     doc = {
         "seed": args.seed,
         "horizon": args.horizon,

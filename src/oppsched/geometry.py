@@ -176,11 +176,53 @@ def frank_wolfe(
         if (it + 1) % 256 == 0:
             y = _combine(weights, points)
 
+    # Away steps crawl where generators nearly coincide; projections that
+    # converge above keep their bits, the rest finish by min-norm-point.
+    res = _min_norm_point(body, x, tol, f_stop, weights, points)
+    if res is not None:
+        return res
     if on_cap == "return":
         return _finish(x, y, _sq_dist(x, y), gap, MAX_ITER, weights, points)
     raise ConvergenceError(
         f"Frank-Wolfe did not converge within {MAX_ITER} iterations", gap
     )
+
+
+def _min_norm_point(body, x, tol, f_stop, weights, points) -> FWResult | None:
+    """Wolfe's min-norm-point cycles (Wolfe 1976), warm-started from the
+    active atoms: each minor cycle moves to the best point of the atoms'
+    affine hull, or as far toward it as their weights allow, dropping the
+    atom whose weight reaches 0; each major cycle adds the LMO's atom.
+    None when a cycle ends uncertified without getting closer to x, offers
+    an atom already held, or exceeds ``MAX_ITER`` cycles."""
+    keys = list(weights)
+    pts = np.array([points[k] for k in keys])
+    lam = np.array([weights[k] for k in keys]) / sum(weights.values())
+    last = np.inf
+    for it in range(MAX_ITER):
+        while True:  # minor cycles
+            n = len(keys)
+            # Affine minimizer in coordinates relative to the first atom;
+            # a Gram matrix would square the conditioning.
+            c = np.linalg.lstsq((pts[1:] - pts[0]).T, x - pts[0], rcond=None)[0]
+            w = np.concatenate([[1.0 - c.sum()], c])
+            if np.all(w > 0):
+                break
+            ratio = np.where(w <= 0, lam / np.maximum(lam - w, 1e-300), np.inf)
+            lam = lam + ratio.min() * (w - lam)
+            keep = (np.arange(n) != np.argmin(ratio)) & (lam > 0)
+            keys, pts, lam = [k for k, k_in in zip(keys, keep) if k_in], pts[keep], lam[keep]
+        y = w @ pts
+        val, g = _sq_dist(x, y), 2.0 * (y - x)
+        s, sk = body.lmo(g)
+        gap = float(g @ (y - s))
+        if val <= f_stop or gap <= tol:
+            weights, points = dict(zip(keys, w.tolist())), dict(zip(keys, pts))
+            return _finish(x, y, val, max(gap, 0.0), MAX_ITER + it, weights, points)
+        if sk in keys or val >= last:
+            return None
+        keys, pts, lam, last = keys + [sk], np.vstack([pts, s]), np.append(w, 0.0), val
+    return None
 
 
 def _combine(weights, points) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .randomize import cumulative
+from .randomize import inverse_cdf
 
 PROB_TOL = 1e-12
 
@@ -81,9 +81,6 @@ class Model:
 
     def label(self, s: int) -> str:
         return self.states.labels[s]
-
-    def cumulative(self) -> np.ndarray:
-        return cumulative(self.probs)
 
     def stationary_mean(self, weights) -> np.ndarray:
         """Expected decision vector when state s picks its options with
@@ -235,12 +232,12 @@ def sample_state(model: Model, u: float) -> int:
     """Inverse-CDF state index for a uniform draw; boundary ties go low."""
     if not (0.0 <= u < 1.0):
         raise InputError(f"u must lie in [0, 1), got {u!r}")
-    return int(np.searchsorted(model.cumulative(), u, side="left"))
+    return int(inverse_cdf(model.probs, u))
 
 
 def sample_states(model: Model, us: np.ndarray) -> np.ndarray:
     """Vectorized ``sample_state``."""
-    return np.searchsorted(model.cumulative(), us, side="left").astype(np.int64)
+    return inverse_cdf(model.probs, us).astype(np.int64)
 
 
 # --- JSON schema -----------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import Model, validate
-from .randomize import cumulative
+from .randomize import inverse_cdf
 from .region import RateRegion, TargetDecomposition, decompose
 
 
@@ -104,19 +104,15 @@ class RandomizedStationaryPolicy(Policy):
             ws.append(w)
         object.__setattr__(self, "weights", tuple(ws))
 
-    @cached_property
-    def _cums(self) -> tuple[np.ndarray, ...]:
-        return tuple(cumulative(w) for w in self.weights)
-
     def select(self, model, states, u, queue=None):
-        return int(np.searchsorted(self._cums[states[-1]], u, side="left")), False
+        return int(inverse_cdf(self.weights[states[-1]], u)), False
 
     def choices_vector(self, model, states, us):
         out = np.zeros(states.size, dtype=np.int64)
-        for s, cum in enumerate(self._cums):
+        for s, w in enumerate(self.weights):
             mask = states == s
             if np.any(mask):
-                out[mask] = np.searchsorted(cum, us[mask], side="left")
+                out[mask] = inverse_cdf(w, us[mask])
         return out
 
     def slot_mean(self, model, prefix=(), queue=None):

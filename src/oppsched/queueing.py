@@ -125,9 +125,7 @@ def run_maxweight(model: Model, arrivals, horizon: int, seed: int) -> StabilityR
     """
     if horizon < 1000:
         raise InputError("stability runs need a horizon of at least 1000 slots")
-    trace = run(
-        model, MaxWeightPolicy(), horizon, seed, arrivals=arrivals, compute_dists=False
-    )
+    trace = run(model, MaxWeightPolicy(), horizon, seed, arrivals=arrivals)
     norms = np.linalg.norm(trace.queues, axis=1)
     ks = np.arange(1, horizon + 1, dtype=np.float64)
     slope = float(np.polyfit(ks, norms, 1)[0])

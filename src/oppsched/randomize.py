@@ -137,9 +137,18 @@ def uniform_across_seeds(seeds, k: int) -> np.ndarray:
     return _uniforms(seeds, [k])[:, 0]
 
 
-def cumulative(weights) -> np.ndarray:
-    """Cumulative weights for inverse-CDF draws, with the top edge guarded
-    against rounding so that every u < 1 falls in some cell."""
+# Smallest positive float64.  Raising u to it changes no u > 0 and moves
+# u = 0 past the zero-mass cells at the bottom of a distribution.
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def inverse_cdf(weights, u):
+    """Cell of u in [0, 1) under the cell masses ``weights``: the first cell
+    whose cumulative mass reaches u, so boundary ties go low, and u = 0 lands
+    in the first cell of positive mass.  The top edge is guarded against
+    rounding, so every u < 1 falls in some cell.  ``u`` may be a scalar or an
+    array; state draws and stationary option draws both go through here.
+    """
     cum = np.cumsum(weights)
     cum[-1] = max(cum[-1], 1.0)
-    return cum
+    return np.searchsorted(cum, np.maximum(u, _TINY), side="left")

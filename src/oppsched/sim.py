@@ -3,8 +3,10 @@
 A run draws i.i.d. states, lets the policy pick one option per slot from the
 observed prefix and its slot uniform, and records everything needed to replay
 or audit the run: per-slot decisions, the running average (computed by the
-exact recursion A_k = A_{k-1} + (x_k - A_{k-1})/k), optional queue backlogs,
-and region distances at dyadic checkpoint slots.
+exact recursion A_k = A_{k-1} + (x_k - A_{k-1})/k) and optional queue
+backlogs.  The record holds no verdicts: the verifiers judge it, and the
+convergence verifier computes the region distances at its checkpoint slots
+from the recorded averages.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ class Trace:
     x: np.ndarray  # (K, m) decision vectors
     averages: np.ndarray  # (K, m) running averages
     fallbacks: np.ndarray  # (K,) guarded-fallback flags
-    checkpoints: np.ndarray  # checkpoint slots
-    checkpoint_dists: np.ndarray | None  # dist of the running average to the region
     queues: np.ndarray | None = None  # (K, m) backlog after each slot
     arrivals: np.ndarray | None = None  # (K, m) arrivals per slot
 
@@ -67,18 +67,8 @@ class Trace:
         return self.averages[-1]
 
 
-def run(
-    model: Model,
-    policy: Policy,
-    horizon: int,
-    seed: int,
-    *,
-    arrivals=None,
-    region: RateRegion | None = None,
-    compute_dists: bool = True,
-    tol: float = 1e-10,
-) -> Trace:
-    """Simulate ``horizon`` slots.
+def run(model: Model, policy: Policy, horizon: int, seed: int, *, arrivals=None) -> Trace:
+    """Simulate ``horizon`` slots and return their record; nothing is judged.
 
     States, policy randomness, and arrival randomness come from disjoint
     child streams of the seed, so the trace is a pure function of
@@ -87,15 +77,6 @@ def run(
     states, choices, xs, fallbacks, arrival_rows, queues = _advance(
         model, policy, horizon, [seed], arrivals
     )
-    averages = _running_averages(xs[0])
-
-    cps = checkpoint_slots(horizon)
-    if compute_dists:
-        reg = region if region is not None else rate_region(model)
-        dists = _checkpoint_dists(reg, averages, cps, tol)
-    else:
-        dists = None
-
     return Trace(
         seed=seed,
         horizon=horizon,
@@ -103,18 +84,11 @@ def run(
         states=states[0],
         choices=choices[0],
         x=xs[0],
-        averages=averages,
+        averages=_running_averages(xs[0]),
         fallbacks=fallbacks[0],
-        checkpoints=cps,
-        checkpoint_dists=dists,
         queues=None if queues is None else queues[0],
         arrivals=None if arrival_rows is None else arrival_rows[0],
     )
-
-
-def _checkpoint_dists(region: RateRegion, averages: np.ndarray, cps, tol: float) -> np.ndarray:
-    """Distance of the running average to the region at each checkpoint slot."""
-    return np.array([membership(region, averages[c - 1], tol).dist for c in cps])
 
 
 def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
@@ -209,8 +183,10 @@ def _recursion(col):
         yield acc
 
 
-def write_trace_csv(trace: Trace, model: Model, path) -> None:
-    """Columnar slot record; checkpoint distances appear only on their slots.
+def write_trace_csv(trace: Trace, model: Model, path, report=None) -> None:
+    """Columnar slot record.  The ``dist_checkpoint`` column holds the
+    distances of a convergence report on its checkpoint slots; it is empty
+    elsewhere, and everywhere without a report.
 
     Rows are formatted column by column in blocks of ``_CSV_ROWS`` slots, so
     the strings alive at once are bounded by one block.  Floats are written
@@ -221,10 +197,8 @@ def write_trace_csv(trace: Trace, model: Model, path) -> None:
     m = model.m
     labels = np.array(model.states.labels, dtype=object)
     cp_strs = {}
-    if trace.checkpoint_dists is not None:
-        cp_strs = dict(
-            zip(trace.checkpoints.tolist(), map(repr, trace.checkpoint_dists.tolist()))
-        )
+    if report is not None:
+        cp_strs = dict(zip(report.checkpoints.tolist(), map(repr, report.dists.tolist())))
     with open(path, "w", newline="") as fh:
         header = ["k", "state_label", "option_index"]
         header += [f"x_{c}" for c in range(m)]
@@ -341,21 +315,20 @@ def verify_avg_convergence(
 ) -> AvgConvergenceReport:
     """Check the trace's running average approaches the region.
 
-    The last checkpoint's distance must fall under 3*D/sqrt(c) + sqrt(tol)
-    at that checkpoint's slot c (the horizon K by default), and after a
-    burn-in of K/10 every checkpoint c must satisfy the same bound.  Horizons
-    under 100 slots are marked insufficient and only the final bound is
-    asserted.
+    Distances are computed from ``trace.averages`` at the given checkpoint
+    slots, or at ``checkpoint_slots(K)`` when none are given.  The last
+    checkpoint's distance must fall under 3*D/sqrt(c) + sqrt(tol) at that
+    checkpoint's slot c, and after a burn-in of K/10 every checkpoint c must
+    satisfy the same bound.  Horizons under 100 slots are marked insufficient
+    and only the final bound is asserted.
     """
     if checkpoints is None:
-        cps, dists = trace.checkpoints, trace.checkpoint_dists
+        cps = checkpoint_slots(trace.horizon)
     else:
         cps = np.asarray(checkpoints, dtype=np.int64)
         if cps.size == 0 or int(cps.min()) < 1 or int(cps.max()) > trace.horizon:
             raise InputError("checkpoints must be slot indices within the horizon")
-        dists = None
-    if dists is None or np.any(np.isnan(dists)):
-        dists = _checkpoint_dists(region, trace.averages, cps, tol)
+    dists = np.array([membership(region, trace.averages[c - 1], tol).dist for c in cps])
 
     horizon = trace.horizon
     bound = region.model.bound

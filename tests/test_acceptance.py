@@ -158,7 +158,7 @@ def test_criterion_3_achievability(two_state_model, two_state_region, simplex_mo
             w = rng.dirichlet(np.ones(len(gens)))
             x = 0.9 * (w @ gens) + 0.1 * centroid
             policy = target_policy(region, x)
-            trace = run(model, policy, horizon, 2000 + t, region=region, compute_dists=False)
+            trace = run(model, policy, horizon, 2000 + t)
             if float(np.linalg.norm(trace.final_average - x)) <= bound:
                 hits += 1
         results.append(hits)
@@ -200,7 +200,7 @@ def test_criterion_4_converse(two_state_model, two_state_region, simplex_model, 
             model, policy, replications=reps, slot=3, seed=1004,
             region=region, arrivals=arr,
         )
-        trace = run(model, policy, horizon, 1004, arrivals=arr, region=region, tol=tol)
+        trace = run(model, policy, horizon, 1004, arrivals=arr)
         conv_report = verify_avg_convergence(trace, region, tol=tol)
         ok = ok and mean_report.passed and conv_report.passed
         details.append(

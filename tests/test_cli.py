@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import oppsched.sim
 from oppsched import cli, queueing
 from oppsched.cli import main
+from oppsched.region import membership
 
 
 def write_json(path, doc):
@@ -166,6 +168,38 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "early.report.json").read_text())
         assert report["final_bound"] == 3 * 2 / np.sqrt(20) + np.sqrt(1e-10)
         assert code == 0 and report["passed"]
+
+    def test_given_checkpoints_solved_and_written_once(self, tmp_path, monkeypatch, two_state_doc):
+        # Only the two judged slots are projected, and the CSV shows exactly
+        # their distances, not the dyadic schedule's.
+        calls = []
+
+        def counting_membership(*args, **kwargs):
+            calls.append(args)
+            return membership(*args, **kwargs)
+
+        monkeypatch.setattr(oppsched.sim, "membership", counting_membership)
+        model = write_json(tmp_path / "m.json", two_state_doc)
+        policy = write_json(tmp_path / "p.json", {"kind": "target", "x": [1.5]})
+        code = main(
+            [
+                "simulate", "--model", model, "--policy", policy,
+                "--horizon", "100000", "--seed", "2", "--checkpoints", "10", "20",
+                "--out", str(tmp_path / "cp"), "--quiet",
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 2
+        report = json.loads((tmp_path / "cp.report.json").read_text())
+        assert report["checkpoints"] == [10, 20]
+        written = {}
+        with open(tmp_path / "cp.trace.csv") as fh:
+            next(fh)
+            for line in fh:
+                k, *_, dist = line.rstrip("\n").split(",")
+                if dist:
+                    written[int(k)] = dist
+        assert written == {c: repr(d) for c, d in zip([10, 20], report["checkpoint_dists"])}
 
     def test_missing_model_exit_2(self, tmp_path, capsys):
         policy = write_json(tmp_path / "p.json", {"kind": "deterministic"})

@@ -1,10 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from oppsched import (
     ConvexBody,
     HalfSpace,
     build_model,
+    decompose,
+    dominance,
+    enumerate_generators,
     membership,
     outer_halfspaces,
     rate_region,
@@ -125,6 +133,100 @@ class TestProject:
         with pytest.raises(ConvergenceError) as exc:
             frank_wolfe(triangle_body(), [2.0, 1.1], tol=1e-16)
         assert exc.value.gap > 0
+
+
+def ref_sq_dist(pts, x):
+    """Squared distance from x to the hull of the rows, by brute force: the
+    nearest point is the affine projection onto at most m+1 of the rows
+    with nonnegative weights (Caratheodory)."""
+    best = np.inf
+    for size in range(1, min(len(pts), pts.shape[1] + 1) + 1):
+        for rows in itertools.combinations(range(len(pts)), size):
+            p = pts[list(rows)]
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size], kkt[size, size] = p @ p.T, 0.0
+            w = np.linalg.lstsq(kkt, np.append(p @ x, 1.0), rcond=None)[0][:size]
+            if np.all(w >= -1e-12):
+                best = min(best, float(np.sum((w @ p - x) ** 2)))
+    return best
+
+
+def nnls_sq_dist(pts, x):
+    """Squared distance from x to the hull of many rows, to about 1e-10, by
+    nonnegative least squares with a heavy row holding the weight sum to 1."""
+    heavy = 1e5
+    w = nnls(np.vstack([pts.T, np.full(len(pts), heavy)]), np.append(x, heavy))[0]
+    return float(np.sum((w @ pts - x) ** 2))
+
+
+# Reproducers of away-step stalls: generators that nearly coincide, option
+# segments that are nearly parallel.
+STALL_A = build_model(
+    ["s0", "s1", "s2", "s3"], [0.0226, 0.3628, 0.2978, 0.3168],
+    [[[-0.75, 0.25], [-0.5, 0.25], [1.0, -0.5]], [[-0.25, 0.25]], [[0.0, -0.75]],
+     [[-0.75, -0.5], [0.25, -1.0]]],
+)
+STALL_C = build_model(
+    ["s0", "s1", "s2", "s3"], [0.2916, 0.3380, 0.1979, 0.1725],
+    [[[0, 0, 0], [0.8639, 0, 0], [0, 0.8473, 0]],
+     [[0, 0, 0], [0.2333, 0, 0], [0, 0.7043, 0], [0, 0, 0.6285]],
+     [[0, 0, 0], [0.4366, 0, 0], [0, 0.5336, 0], [0, 0, 0.4762]],
+     [[0, 0, 0], [0, 0.2916, 0]]],
+)
+
+
+class TestMinNormPointFallback:
+    """Projections that away steps cannot finish within ``MAX_ITER``
+    iterations are finished by min-norm-point cycles.  A small cap makes the
+    fallback do the work here."""
+
+    @pytest.mark.parametrize("x", [[-0.0784, 0.3326, 0.2982], [-0.0862, 0.6367, 0.0046]])
+    def test_outside_stall_matches_explicit_hull(self, monkeypatch, x):
+        monkeypatch.setattr(geometry, "MAX_ITER", 2000)
+        res = membership(rate_region(STALL_C), x)
+        ref = nnls_sq_dist(enumerate_generators(rate_region(STALL_C)), np.array(x))
+        assert not res.inside
+        assert abs(res.dist**2 - ref) <= 1e-8
+
+    def test_inside_stall_decomposes(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_ITER", 2000)
+        dec = decompose(rate_region(STALL_A), [-0.1596, -0.3756])
+        assert dec.residual <= 1e-5
+        assert np.linalg.norm(dec.mean(STALL_A) - [-0.1596, -0.3756]) <= 1e-5
+
+    def test_dominance_stall(self, monkeypatch):
+        # A point dominated by the region, on which the shortfall solve stalled.
+        monkeypatch.setattr(geometry, "MAX_ITER", 2000)
+        model = build_model(
+            ["a", "b"], [0.5761233317696896, 0.42387666823031034],
+            [[[0.27286072056941624, 0.16688081356095896]],
+             [[-0.9398761866084606, 0.7398865571151043],
+              [-0.9209464020473559, -0.10592255506825587]]],
+        )
+        assert dominance(rate_region(model), [-0.24044083891769705, 0.3762839113690501])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["generic", "duplicate", "collinear", "near"]),
+        cap=st.sampled_from([10, 30]),
+    )
+    def test_matches_explicit_hull(self, seed, shape, cap):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        pts = rng.uniform(-1, 1, (int(rng.integers(2, 7)), m))
+        if shape == "duplicate":
+            pts = np.vstack([pts, pts[:2]])
+        elif shape == "collinear":
+            pts = pts[0] + np.outer(rng.uniform(-1, 1, len(pts)), pts[1] - pts[0])
+        elif shape == "near":
+            pts = np.vstack([pts, pts[0] + 1e-9 * rng.standard_normal(m)])
+        x = rng.uniform(-1.5, 1.5, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "MAX_ITER", cap)
+            res = frank_wolfe(ConvexBody.from_points(pts), x, tol=1e-12)
+        assert abs(res.value - ref_sq_dist(pts, x)) <= 1e-10
+        assert abs(sum(a.weight for a in res.atoms) - 1.0) <= 1e-9
+        assert np.allclose(sum(a.weight * a.point for a in res.atoms), res.point, atol=1e-9)
 
 
 class TestOuterHalfspaces:

@@ -79,7 +79,7 @@ class TestDecide:
         policy = RandomizedStationaryPolicy(
             weights=(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         )
-        trace = run(two_state_model, policy, 64, 99, compute_dists=False)
+        trace = run(two_state_model, policy, 64, 99)
         src = RandSource(99).stream("policy")
         for k in range(1, trace.horizon + 1):
             u = slot_uniform(src, k)
@@ -199,7 +199,7 @@ class TestCustomSelect:
         # Copying the prefix on every slot made 1e5 slots take minutes.
         policy = CustomPolicy(table={((0,), 0): 1, ((1, 1), 1): 1}, levels=2, psi=(0, 0))
         start = time.perf_counter()
-        trace = run(two_state_model, policy, 100_000, 5, compute_dists=False)
+        trace = run(two_state_model, policy, 100_000, 5)
         assert time.perf_counter() - start < 15.0
         assert trace.fallbacks[2:].all()
 

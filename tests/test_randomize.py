@@ -12,11 +12,14 @@ from oppsched import (
     RandomizedStationaryPolicy,
     RandSource,
     build_model,
+    run,
+    sample_state,
     slot_uniform,
     slot_uniforms,
 )
 from oppsched.errors import InputError
 from oppsched import randomize
+from oppsched.model import sample_states
 from oppsched.randomize import bit_positions, cantor_pair, uniform_across_seeds
 
 # Regression constants: computed once with the pure-int reference
@@ -206,6 +209,55 @@ class TestDrawOption:
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
             RandomizedStationaryPolicy(weights=(np.array([0.5, 0.4]),))
+
+
+def ref_cell(weights, u):
+    """The plain inverse-CDF cell, top edge guarded as in the primitive."""
+    cum = np.cumsum(weights)
+    cum[-1] = max(cum[-1], 1.0)
+    return np.searchsorted(cum, u, side="left")
+
+
+class TestInverseCdf:
+    """A slot uniform is exactly 0 when all 53 of its digits are 0; it must
+    not draw a cell of zero mass."""
+
+    def test_sample_state_skips_zero_probability_state(self):
+        model = build_model(["never", "always"], [0.0, 1.0], [[[0.0]], [[1.0]]])
+        assert sample_state(model, 0.0) == 1
+        assert sample_states(model, np.array([0.0, 0.5])).tolist() == [1, 1]
+
+    def test_select_skips_zero_weight_option(self):
+        assert TestDrawOption.draw(0.0, [0.0, 1.0]) == 1
+
+    def test_choices_vector_skips_zero_weight_option(self):
+        model = build_model(["s"], [1.0], [[[0.0], [1.0]]])
+        policy = RandomizedStationaryPolicy(weights=(np.array([0.0, 1.0]),))
+        chosen = policy.choices_vector(model, np.zeros(2, dtype=np.int64), np.array([0.0, 0.3]))
+        assert chosen.tolist() == [1, 1]
+
+    def test_all_zero_streams_draw_positive_mass(self, monkeypatch):
+        fixed_words(monkeypatch, 0)
+        model = build_model(["never", "s"], [0.0, 1.0], [[[5.0]], [[0.0], [1.0]]])
+        policy = RandomizedStationaryPolicy(weights=(np.array([1.0]), np.array([0.0, 1.0])))
+        trace = run(model, policy, 8, 0)
+        assert trace.states.tolist() == [1] * 8
+        assert trace.choices.tolist() == [1] * 8
+
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        us=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1),
+    )
+    def test_plain_searchsorted_for_positive_u(self, weights, us):
+        for u in us:
+            assert randomize.inverse_cdf(weights, u) == ref_cell(weights, u)
+        assert np.array_equal(randomize.inverse_cdf(weights, np.array(us)), ref_cell(weights, us))
+
+    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    def test_zero_draws_first_cell_of_positive_mass(self, weights):
+        cum = np.cumsum(weights)
+        expected = int(np.argmax(cum > 0)) if cum[-1] > 0 else len(weights) - 1
+        assert randomize.inverse_cdf(weights, 0.0) == expected
 
 
 class TestPrimitiveProperties:

@@ -92,10 +92,10 @@ def ref_custom_slot_mean(policy, model, prefix):
 class TestRun:
     def test_fallback_policy_averages_zero(self, two_state_model, two_state_region):
         policy = deterministic_policy(two_state_model)
-        trace = run(two_state_model, policy, 500, 1, region=two_state_region)
+        trace = run(two_state_model, policy, 500, 1)
         assert np.all(trace.x == 0.0)
         assert np.all(trace.averages == 0.0)
-        assert np.all(trace.checkpoint_dists == 0.0)
+        assert np.all(verify_avg_convergence(trace, two_state_region).dists == 0.0)
 
     def test_singleton_options_average_exactly(self):
         model = build_model(["a", "b"], [0.5, 0.5], [[[0.7]], [[0.7]]])
@@ -106,13 +106,13 @@ class TestRun:
     def test_target_tracking_concentration(self, two_state_model, two_state_region):
         policy = target_policy(two_state_region, [0.75])
         horizon = 100_000
-        trace = run(two_state_model, policy, horizon, 42, region=two_state_region)
+        trace = run(two_state_model, policy, horizon, 42)
         bound = 3 * two_state_model.bound / math.sqrt(horizon) + 1e-5
         assert abs(trace.final_average[0] - 0.75) <= bound
 
     def test_running_average_recursion_exact(self, two_state_model, two_state_region):
         policy = target_policy(two_state_region, [0.6])
-        trace = run(two_state_model, policy, 3000, 5, compute_dists=False)
+        trace = run(two_state_model, policy, 3000, 5)
         avg = np.zeros(two_state_model.m)
         for k in range(1, trace.horizon + 1):
             avg = avg + (trace.x[k - 1] - avg) / k
@@ -127,7 +127,7 @@ class TestRun:
                     np.full(a.shape[0], 1.0 / a.shape[0]) for a in model.options
                 )
             )
-            trace = run(model, policy, 400, int(rng.integers(1 << 32)), compute_dists=False)
+            trace = run(model, policy, 400, int(rng.integers(1 << 32)))
             for k in range(trace.horizon):
                 s = trace.states[k]
                 assert 0 <= trace.choices[k] < model.options[s].shape[0]
@@ -135,16 +135,19 @@ class TestRun:
 
     def test_replay_bit_identical(self, two_state_model, two_state_region):
         policy = target_policy(two_state_region, [0.9])
-        a = run(two_state_model, policy, 5000, 77, region=two_state_region)
-        b = run(two_state_model, policy, 5000, 77, region=two_state_region)
+        a = run(two_state_model, policy, 5000, 77)
+        b = run(two_state_model, policy, 5000, 77)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.averages, b.averages)
-        assert np.array_equal(a.checkpoint_dists, b.checkpoint_dists)
+        assert np.array_equal(
+            verify_avg_convergence(a, two_state_region).dists,
+            verify_avg_convergence(b, two_state_region).dists,
+        )
 
     def test_custom_policy_fallback_flagged(self, two_state_model):
         policy = CustomPolicy(table={}, levels=2, psi=(0, 0))
-        trace = run(two_state_model, policy, 50, 3, compute_dists=False)
+        trace = run(two_state_model, policy, 50, 3)
         assert np.all(trace.fallbacks)
 
     def test_horizon_validation(self, two_state_model):
@@ -160,15 +163,21 @@ class TestRun:
 class TestTraceCsv:
     def test_columns_and_checkpoint_blanks(self, two_state_model, two_state_region, tmp_path):
         policy = deterministic_policy(two_state_model)
-        trace = run(two_state_model, policy, 10, 9, region=two_state_region)
+        trace = run(two_state_model, policy, 10, 9)
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, two_state_model, path)
+        write_trace_csv(trace, two_state_model, path, verify_avg_convergence(trace, two_state_region))
         lines = path.read_text().splitlines()
         assert lines[0] == "k,state_label,option_index,x_0,avg_0,dist_checkpoint"
         # slot 3 is not a checkpoint; slot 4 is
         assert lines[3].endswith(",")
         assert not lines[4].endswith(",")
         assert len(lines) == 11
+
+    def test_no_report_no_distances(self, two_state_model, tmp_path):
+        trace = run(two_state_model, deterministic_policy(two_state_model), 10, 9)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, two_state_model, path)
+        assert all(line.endswith(",") for line in path.read_text().splitlines()[1:])
 
     def test_queue_columns_present_with_arrivals(self, simplex_model, tmp_path):
         from oppsched import DeterministicArrivals
@@ -179,7 +188,6 @@ class TestTraceCsv:
             50,
             4,
             arrivals=DeterministicArrivals(np.array([0.2, 0.2])),
-            compute_dists=False,
         )
         path = tmp_path / "qtrace.csv"
         write_trace_csv(trace, simplex_model, path)
@@ -256,10 +264,7 @@ class TestMeanMembershipReference:
         root = RandSource(seed)
         total = np.zeros(model.m)
         for r in range(reps):
-            trace = run(
-                model, policy, slot, root.stream(f"rep-{r}").seed,
-                arrivals=arrivals, compute_dists=False,
-            )
+            trace = run(model, policy, slot, root.stream(f"rep-{r}").seed, arrivals=arrivals)
             total += trace.x[slot - 1]
         assert np.array_equal(report.estimate, total / reps)
 
@@ -271,8 +276,7 @@ class TestMeanMembershipReference:
         root = RandSource(9)
         total = np.zeros(model.m)
         for r in range(1000):
-            total += run(model, policy, 300, root.stream(f"rep-{r}").seed,
-                         compute_dists=False).x[299]
+            total += run(model, policy, 300, root.stream(f"rep-{r}").seed).x[299]
         assert np.array_equal(report.estimate, total / 1000)
 
 
@@ -285,8 +289,7 @@ class TestMaxWeightReplay:
     )
     def test_choices_follow_previous_backlog(self, simplex_model, seed, prob, batch, horizon):
         arrivals = BernoulliArrivals(prob=np.array(prob), batch=np.array(batch))
-        trace = run(simplex_model, MaxWeightPolicy(), horizon, seed,
-                    arrivals=arrivals, compute_dists=False)
+        trace = run(simplex_model, MaxWeightPolicy(), horizon, seed, arrivals=arrivals)
         queue = np.zeros(simplex_model.m)
         for k in range(horizon):
             options = simplex_model.options[trace.states[k]]
@@ -301,7 +304,7 @@ class TestAvgConvergence:
         policy = RandomizedStationaryPolicy(
             weights=(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         )
-        trace = run(two_state_model, policy, 100_000, 6, region=two_state_region)
+        trace = run(two_state_model, policy, 100_000, 6)
         report = verify_avg_convergence(trace, two_state_region)
         assert report.passed
         assert report.final_dist <= 0.02
@@ -309,36 +312,46 @@ class TestAvgConvergence:
     def test_singleton_model_distance_zero_everywhere(self):
         model = build_model(["a"], [1.0], [[[0.3, 0.4]]])
         region = rate_region(model)
-        trace = run(model, deterministic_policy(model), 2048, 8, region=region)
+        trace = run(model, deterministic_policy(model), 2048, 8)
         report = verify_avg_convergence(trace, region)
         assert report.passed
         assert np.all(report.dists <= 1e-6)
 
     def test_boundary_target_converges(self, two_state_model, two_state_region):
         policy = target_policy(two_state_region, [1.5])
-        trace = run(two_state_model, policy, 100_000, 10, region=two_state_region)
+        trace = run(two_state_model, policy, 100_000, 10)
         report = verify_avg_convergence(trace, two_state_region)
         assert report.passed
         assert report.final_dist <= report.final_bound
 
     def test_mid_run_checkpoint_past_its_bound_fails(self, two_state_model, two_state_region):
         policy = deterministic_policy(two_state_model)
-        trace = run(two_state_model, policy, 100_000, 3, region=two_state_region)
-        # Forge the distances: the final checkpoint holds, one checkpoint
-        # after burn-in sits at twice its 3*D/sqrt(c) bound.
-        forged = np.zeros_like(trace.checkpoint_dists)
+        trace = run(two_state_model, policy, 100_000, 3)
+        # Forge the record: the final average holds, the average at one
+        # checkpoint after burn-in sits past the region [0, 1.5] at twice
+        # its 3*D/sqrt(c) bound.
+        forged = trace.averages.copy()
         c = 32768
-        forged[trace.checkpoints.tolist().index(c)] = 6.0 * two_state_model.bound / math.sqrt(c)
+        forged[c - 1] = -6.0 * two_state_model.bound / math.sqrt(c)
         report = verify_avg_convergence(
-            dataclasses.replace(trace, checkpoint_dists=forged), two_state_region
+            dataclasses.replace(trace, averages=forged), two_state_region
         )
         assert report.final_dist <= report.final_bound
         assert not report.passed
         assert not report.within_bound_after_burn_in
 
+    def test_averages_outside_region_fail(self, two_state_model, two_state_region):
+        # The verifier judges the recorded averages, not a stored claim.
+        trace = run(two_state_model, target_policy(two_state_region, [0.75]), 10_000, 7)
+        assert verify_avg_convergence(trace, two_state_region).passed
+        shifted = dataclasses.replace(trace, averages=trace.averages + 50.0)
+        report = verify_avg_convergence(shifted, two_state_region)
+        assert not report.passed
+        assert report.final_dist > 40.0
+
     def test_short_horizon_flagged(self, two_state_model, two_state_region):
         policy = deterministic_policy(two_state_model)
-        trace = run(two_state_model, policy, 1, 1, region=two_state_region)
+        trace = run(two_state_model, policy, 1, 1)
         report = verify_avg_convergence(trace, two_state_region)
         assert report.insufficient_horizon
 
@@ -454,13 +467,13 @@ class TestMartingale:
             weights=(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         )
         horizon = 100_000
-        trace = run(two_state_model, policy, horizon, 14, compute_dists=False)
+        trace = run(two_state_model, policy, horizon, 14)
         check = martingale_check(trace, two_state_model, policy)
         assert check.final_average_norm <= 3 * two_state_model.bound / math.sqrt(horizon)
 
     def test_diffs_have_exact_conditional_means(self, two_state_model):
         policy = deterministic_policy(two_state_model, psi=(1, 1))
-        trace = run(two_state_model, policy, 100, 15, compute_dists=False)
+        trace = run(two_state_model, policy, 100, 15)
         check = martingale_check(trace, two_state_model, policy)
         mean = policy.slot_mean(two_state_model)
         assert np.allclose(check.diffs, trace.x - mean)
@@ -478,7 +491,7 @@ class TestMartingale:
         ]
         for policy in policies:
             assert policy.stationary
-            trace = run(model, policy, 64, int(rng.integers(1 << 32)), compute_dists=False)
+            trace = run(model, policy, 64, int(rng.integers(1 << 32)))
             check = martingale_check(trace, model, policy)
             queue = np.zeros(model.m)
             for k in range(trace.horizon):
@@ -488,7 +501,7 @@ class TestMartingale:
     def test_declared_nonstationary_subclass_takes_slot_loop(self, two_state_model):
         assert not MaxWeightPolicy.stationary and not CustomPolicy.stationary
         policy = DeclaredNonstationary(weights=(np.array([0.5, 0.5]), np.array([0.25, 0.75])))
-        trace = run(two_state_model, policy, 200, 24, compute_dists=False)
+        trace = run(two_state_model, policy, 200, 24)
         check = martingale_check(trace, two_state_model, policy)
         mean = RandomizedStationaryPolicy.slot_mean(policy, two_state_model)
         for k in range(trace.horizon):
@@ -498,7 +511,7 @@ class TestMartingale:
     def test_custom_diffs_match_full_prefix_lookups(self, two_state_model):
         table = {((0,), 0): 1, ((1, 1), 1): 1, ((0, 1, 1), 0): 1, ((1, 0), 2): 7}
         policy = CustomPolicy(table=table, levels=3, psi=(0, 1))
-        trace = run(two_state_model, policy, 1500, 21, compute_dists=False)
+        trace = run(two_state_model, policy, 1500, 21)
         check = martingale_check(trace, two_state_model, policy)
         for k in range(1, trace.horizon + 1):
             prefix = tuple(int(s) for s in trace.states[: k - 1])
@@ -508,7 +521,7 @@ class TestMartingale:
     def test_maxweight_diffs_read_the_backlog_before_each_slot(self, simplex_model):
         policy = MaxWeightPolicy()
         arrivals = BernoulliArrivals(prob=np.array([0.3, 0.4]), batch=np.array([1.0, 1.0]))
-        trace = run(simplex_model, policy, 300, 23, arrivals=arrivals, compute_dists=False)
+        trace = run(simplex_model, policy, 300, 23, arrivals=arrivals)
         check = martingale_check(trace, simplex_model, policy)
         queue = np.zeros(2)
         for k in range(trace.horizon):
@@ -519,7 +532,7 @@ class TestMartingale:
     def test_custom_check_is_linear_in_horizon(self, two_state_model):
         # Looking up the whole prefix on every slot made 20,000 slots take 44 s.
         policy = CustomPolicy(table={((0,), 0): 1, ((1, 1), 1): 1}, levels=2, psi=(0, 0))
-        trace = run(two_state_model, policy, 20_000, 22, compute_dists=False)
+        trace = run(two_state_model, policy, 20_000, 22)
         start = time.perf_counter()
         check = martingale_check(trace, two_state_model, policy)
         assert time.perf_counter() - start < 10.0

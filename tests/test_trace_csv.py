@@ -16,15 +16,16 @@ from oppsched import (
     rate_region,
     run,
     target_policy,
+    verify_avg_convergence,
     write_trace_csv,
 )
-from oppsched.sim import _CSV_ROWS, Trace, checkpoint_slots
+from oppsched.sim import _CSV_ROWS, AvgConvergenceReport, Trace, checkpoint_slots
 
 
-def ref_write_trace_csv(trace, model, path):
+def ref_write_trace_csv(trace, model, path, report=None):
     """Row-by-row writer; the block writer must reproduce its bytes."""
     m = model.m
-    cp_pos = {int(c): i for i, c in enumerate(trace.checkpoints)}
+    cp_pos = {} if report is None else {int(c): i for i, c in enumerate(report.checkpoints)}
     with open(path, "w", newline="") as fh:
         header = ["k", "state_label", "option_index"]
         header += [f"x_{c}" for c in range(m)]
@@ -41,8 +42,8 @@ def ref_write_trace_csv(trace, model, path):
             ]
             row += [repr(float(v)) for v in trace.x[k - 1]]
             row += [repr(float(v)) for v in trace.averages[k - 1]]
-            if trace.checkpoint_dists is not None and k in cp_pos:
-                row.append(repr(float(trace.checkpoint_dists[cp_pos[k]])))
+            if k in cp_pos:
+                row.append(repr(float(report.dists[cp_pos[k]])))
             else:
                 row.append("")
             if trace.queues is not None:
@@ -89,7 +90,6 @@ def traces(draw, horizon):
     wide = np.iinfo(ints).max // 2
     n = len(labels)
     model = build_model(labels, np.full(n, 1.0 / n), [[[0.0] * m]] * n)
-    cps = checkpoint_slots(horizon)
     trace = Trace(
         seed=0,
         horizon=horizon,
@@ -104,11 +104,32 @@ def traces(draw, horizon):
         x=floats(horizon, m, dtype=reals),
         averages=floats(horizon, m, dtype=reals),
         fallbacks=np.zeros(horizon, dtype=bool),
-        checkpoints=cps,
-        checkpoint_dists=floats(cps.size) if draw(st.booleans()) else None,
         queues=floats(horizon, m, dtype=reals) if draw(st.booleans()) else None,
     )
-    return trace, model
+    # No report, the dyadic schedule, or slots in any order with repeats, as
+    # ``simulate --checkpoints`` may pass them.
+    schedule = draw(st.sampled_from(["none", "dyadic", "given"]))
+    report = None
+    if schedule != "none":
+        cps = checkpoint_slots(horizon)
+        if schedule == "given":
+            cps = np.array(draw(st.lists(st.integers(1, horizon), min_size=1, max_size=6)))
+        report = _report(cps, floats(cps.size))
+    return trace, model, report
+
+
+def _report(cps, dists):
+    """A convergence report holding only what the writer reads."""
+    return AvgConvergenceReport(
+        checkpoints=cps,
+        dists=dists,
+        final_dist=float("nan"),
+        final_bound=float("nan"),
+        burn_in=0,
+        within_bound_after_burn_in=False,
+        insufficient_horizon=False,
+        passed=False,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +141,9 @@ def csv_dir(tmp_path_factory):
 @pytest.mark.parametrize("horizon", HORIZONS)
 @given(data=st.data())
 def test_block_writer_matches_row_reference(horizon, data, csv_dir):
-    trace, model = data.draw(traces(horizon))
-    write_trace_csv(trace, model, csv_dir / "block.csv")
-    ref_write_trace_csv(trace, model, csv_dir / "ref.csv")
+    trace, model, report = data.draw(traces(horizon))
+    write_trace_csv(trace, model, csv_dir / "block.csv", report)
+    ref_write_trace_csv(trace, model, csv_dir / "ref.csv", report)
     assert (csv_dir / "block.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
 
 
@@ -139,8 +160,8 @@ def _fading_model():
     )
 
 
-def _digest(trace, model, path):
-    write_trace_csv(trace, model, path)
+def _digest(trace, model, path, report):
+    write_trace_csv(trace, model, path, report)
     data = path.read_bytes()
     return hashlib.sha256(data).hexdigest(), len(data)
 
@@ -152,8 +173,9 @@ class TestPinnedTraceBytes:
     def test_target_policy(self, tmp_path):
         model = _fading_model()
         region = rate_region(model)
-        trace = run(model, target_policy(region, [0.45, 0.48]), 5000, 2024, region=region)
-        assert _digest(trace, model, tmp_path / "t.csv") == (
+        trace = run(model, target_policy(region, [0.45, 0.48]), 5000, 2024)
+        report = verify_avg_convergence(trace, region)
+        assert _digest(trace, model, tmp_path / "t.csv", report) == (
             "5ee3ae7eb31c647a707ce6f3d6250dfb120b3f6de31641841a3851f957d3dbc1",
             296616,
         )
@@ -161,10 +183,9 @@ class TestPinnedTraceBytes:
     def test_maxweight_bernoulli_arrivals(self, tmp_path):
         model = _fading_model()
         arrivals = BernoulliArrivals(np.array([0.3, 0.25]), np.array([0.7, 0.9]))
-        trace = run(
-            model, MaxWeightPolicy(), 5000, 2024, arrivals=arrivals, region=rate_region(model)
-        )
-        assert _digest(trace, model, tmp_path / "q.csv") == (
+        trace = run(model, MaxWeightPolicy(), 5000, 2024, arrivals=arrivals)
+        report = verify_avg_convergence(trace, rate_region(model))
+        assert _digest(trace, model, tmp_path / "q.csv", report) == (
             "c3e2fc36e349b63097b28a1da65ced48344db7eee9c35694947d33e28bd08a1b",
             357970,
         )
@@ -186,13 +207,12 @@ def test_writer_memory_bounded_by_one_block(tmp_path):
         x=rng.random((horizon, 1)),
         averages=rng.random((horizon, 1)),
         fallbacks=np.zeros(horizon, dtype=bool),
-        checkpoints=cps,
-        checkpoint_dists=rng.random(cps.size),
         queues=rng.random((horizon, 1)),
     )
+    report = _report(cps, rng.random(cps.size))
     tracemalloc.start()
     try:
-        write_trace_csv(trace, model, tmp_path / "big.csv")
+        write_trace_csv(trace, model, tmp_path / "big.csv", report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
