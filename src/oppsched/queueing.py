@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 from .model import Model
 from .policy import MaxWeightPolicy
-from .randomize import MAX_SLOT, RandSource, slot_uniforms
+from .randomize import MAX_SLOT, slot_uniforms
 from .region import RateRegion, shortfall, support
 from .sim import Trace, run
 
@@ -47,8 +47,8 @@ class DeterministicArrivals:
     def mean_rate(self) -> np.ndarray:
         return self.rate
 
-    def sample_all(self, horizon: int, m: int, src: RandSource) -> np.ndarray:
-        return np.tile(self.rate, (horizon, 1))
+    def sample_all(self, horizon: int, m: int, seeds) -> np.ndarray:
+        return np.tile(self.rate, (len(seeds), horizon, 1))
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,17 @@ class BernoulliArrivals:
     def mean_rate(self) -> np.ndarray:
         return self.prob * self.batch
 
-    def sample_all(self, horizon: int, m: int, src: RandSource) -> np.ndarray:
+    def sample_all(self, horizon: int, m: int, seeds) -> np.ndarray:
+        """Arrival rows of ``horizon`` slots under each of B stream seeds:
+        a (B, horizon, m) array."""
         if horizon * m > MAX_SLOT:
             raise InputError(
                 f"{horizon} slots of {m} arrival components need more than "
                 f"{MAX_SLOT} slot uniforms"
             )
         ks = np.arange(1, horizon * m + 1, dtype=np.uint64)
-        us = slot_uniforms(src, ks).reshape(horizon, m)
+        us = slot_uniforms(seeds, np.broadcast_to(ks, (len(seeds), ks.size)))
+        us = us.reshape(len(seeds), horizon, m)
         return np.where(us < self.prob, self.batch, 0.0)
 
 

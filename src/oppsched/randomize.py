@@ -23,13 +23,15 @@ DEPTH = 53  # binary digits per slot uniform
 # and the digit sets of different slots collide.
 MAX_SLOT = (1 << 32) - DEPTH
 
+_M64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# (seed, slot) rows per block of digit arithmetic; bounds the working set to
-# a few MB whatever the number of slots or seeds.
-_ROWS = 8192
+# (seed, slot) rows per block of digit arithmetic: each (rows, 53) uint64
+# temporary is 217 KB, so a block stays in cache.  8192-row blocks took 0.086 s
+# for 1e5 uniforms against 0.049 s, and raised the mean verifier's RSS ~5 MB.
+_ROWS = 512
 
 
 def cantor_pair(k, i):
@@ -48,7 +50,7 @@ def _check_slots(ks) -> np.ndarray:
             f"slot index {int(ks.max())} exceeds {MAX_SLOT}: "
             "its digit positions would overflow the Cantor pairing"
         )
-    return ks.astype(np.uint64)
+    return ks.astype(np.uint64, copy=False)
 
 
 def bit_positions(k: int) -> np.ndarray:
@@ -74,26 +76,38 @@ def _words(seeds: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(seeds, ks) -> np.ndarray:
-    """U_k = sum of digit(pair(k, i)) * 2^-(i+1) over i < 53, for every
-    seed and slot: a (len(seeds), len(ks)) array.
+    """U_k = sum of digit(pair(k, i)) * 2^-(i+1) over i < 53: a (B, K) array
+    from B seeds and slot indices that broadcast to (B, K) against them, so
+    ``ks`` is either one row of K slots for every seed or one row per seed.
 
     The only place digits are read.  Each term is a distinct power of two, so
     the sum is exact in float64 whatever the summation order.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    ks = _check_slots(np.ravel(ks))
-    n_k = ks.size
-    out = np.empty(seeds.size * n_k)
+    ks = _check_slots(ks)
+    seeds, ks = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1), ks)
+    out = np.empty(ks.shape)
+    flat = out.reshape(-1)
     i = np.arange(DEPTH, dtype=np.uint64)
     weights = 0.5 ** (1.0 + np.arange(DEPTH))
-    for lo in range(0, out.size, _ROWS):
-        rows = np.arange(lo, min(lo + _ROWS, out.size))
-        pos = cantor_pair(ks[rows % n_k, None], i)
-        words = _words(seeds[rows // n_k, None], pos >> np.uint64(6))
+    for lo in range(0, flat.size, _ROWS):
+        r, j = np.divmod(np.arange(lo, min(lo + _ROWS, flat.size)), ks.shape[1])
+        pos = cantor_pair(ks[r, j, None], i)
+        words = _words(seeds[r, j, None], pos >> np.uint64(6))
         words >>= pos & np.uint64(63)
         words &= np.uint64(1)
-        out[lo : lo + rows.size] = words.astype(np.float64) @ weights
-    return out.reshape(seeds.size, n_k)
+        flat[lo : lo + r.size] = words.astype(np.float64) @ weights
+    return out
+
+
+def child_seeds(seeds, tags) -> np.ndarray:
+    """``RandSource(seed).stream(tag).seed`` for seeds and tags that broadcast
+    against each other (``tags`` may be one string), as a 1-D array."""
+    seeds = np.asarray(np.array(seeds, dtype=object) & _M64, dtype=np.uint64)
+    digests = (hashlib.blake2b(t.encode(), digest_size=8).digest() for t in
+               ([tags] if isinstance(tags, str) else tags))
+    words = np.array([int.from_bytes(d, "big") for d in digests], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix64((seeds ^ words) + _GOLDEN)
 
 
 @dataclass(frozen=True)
@@ -107,14 +121,11 @@ class RandSource:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
+        object.__setattr__(self, "seed", self.seed & _M64)
 
     def stream(self, tag: str) -> "RandSource":
         """An unrelated child source addressed by a stable name."""
-        digest = hashlib.blake2b(tag.encode(), digest_size=8).digest()
-        child = np.uint64(self.seed) ^ np.uint64(int.from_bytes(digest, "big"))
-        with np.errstate(over="ignore"):
-            return RandSource(int(_mix64(child + _GOLDEN)))
+        return RandSource(int(child_seeds(self.seed, tag)[0]))
 
 
 def slot_uniform(src: RandSource, k: int) -> float:
@@ -122,19 +133,18 @@ def slot_uniform(src: RandSource, k: int) -> float:
     return float(_uniforms([src.seed], [k])[0, 0])
 
 
-def slot_uniforms(src: RandSource, ks: np.ndarray) -> np.ndarray:
-    """Vectorized ``slot_uniform`` over an array of slot indices."""
-    return _uniforms([src.seed], ks)[0]
+def slot_uniforms(src, ks) -> np.ndarray:
+    """U_k for every slot index in ``ks``, one uniform per entry.
 
-
-def uniform_across_seeds(seeds, k: int) -> np.ndarray:
-    """U_k under many seeds at once; equals slot_uniform(RandSource(seed), k)
-    per entry.
-
-    Meant for statistical audits that sample the slot-k uniform across a
-    population of sources.
+    ``src`` is one RandSource, for a 1-D ``ks``, or an array of B stream
+    seeds, for a (B, K) ``ks`` whose row b is drawn under seed b: the slot
+    engine draws every seed of a stream with one call.
     """
-    return _uniforms(seeds, [k])[:, 0]
+    if isinstance(src, RandSource):
+        return _uniforms([src.seed], np.ravel(ks))[0]
+    if np.ndim(ks) != 2 or len(ks) != len(src):
+        raise InputError("slot indices must form one row per seed")
+    return _uniforms(src, ks)
 
 
 # Smallest positive float64.  Raising u to it changes no u > 0 and moves

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .model import Model, sample_states, validate
 from .policy import Policy
-from .randomize import MAX_SLOT, RandSource, slot_uniforms
+from .randomize import MAX_SLOT, child_seeds, slot_uniforms
 from .region import RateRegion, membership, rate_region
 
 
@@ -97,8 +97,10 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
 
     Returns states, choices, decision vectors, fallback flags, arrivals and
     backlogs, each with a leading axis over the seeds (arrivals and backlogs
-    are None without arrivals).  Rules that depend only on (current state,
-    slot uniform) are evaluated for all slots at once; rules that read the
+    are None without arrivals).  Each stream (states, policy, arrivals) is
+    drawn for every (seed, slot) pair with one call, under the child seeds
+    of all seeds at once.  Rules that depend only on (current state, slot
+    uniform) are evaluated for all slots at once; rules that read the
     history or the backlog, and every run with arrivals, go slot by slot.
     """
     if not 1 <= horizon <= MAX_SLOT:
@@ -107,18 +109,13 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
 
     m = model.m
     b = len(seeds)
-    slots = np.arange(1, horizon + 1, dtype=np.uint64)
-    states = np.empty((b, horizon), dtype=np.int64)
-    u_policy = np.zeros((b, horizon))
-    arrival_rows = None if arrivals is None else np.empty((b, horizon, m))
-    for r, seed in enumerate(seeds):
-        root = RandSource(seed)
-        states[r] = sample_states(model, slot_uniforms(root.stream("states"), slots))
-        # Rules that ignore their slot uniforms never consume the policy stream.
-        if policy.uses_randomness:
-            u_policy[r] = slot_uniforms(root.stream("policy"), slots)
-        if arrivals is not None:
-            arrival_rows[r] = arrivals.sample_all(horizon, m, root.stream("arrivals"))
+    slots = np.broadcast_to(np.arange(1, horizon + 1, dtype=np.uint64), (b, horizon))
+    states = sample_states(model, slot_uniforms(child_seeds(seeds, "states"), slots))
+    # Rules that ignore their slot uniforms never consume the policy stream.
+    u_policy = (slot_uniforms(child_seeds(seeds, "policy"), slots)
+                if policy.uses_randomness else np.zeros((b, horizon)))
+    arrival_rows = (None if arrivals is None
+                    else arrivals.sample_all(horizon, m, child_seeds(seeds, "arrivals")))
 
     options = model.options
     counts = [arr.shape[0] for arr in options]
@@ -272,14 +269,13 @@ def verify_mean_membership(
     if slot < 1:
         raise InputError("slot must be >= 1")
     reg = region if region is not None else rate_region(model)
-    root = RandSource(seed)
-    seeds = [root.stream(f"rep-{r}").seed for r in range(replications)]
+    seeds = child_seeds(seed, [f"rep-{r}" for r in range(replications)])
     total = np.zeros(model.m)
     group = max(1, _ENGINE_SLOTS // slot)
     for lo in range(0, replications, group):
         xs = _advance(model, policy, slot, seeds[lo : lo + group], arrivals)[2]
-        for x in xs[:, slot - 1]:  # replication order, as separate runs would sum
-            total += x
+        # A running sum in replication order, as separate runs would sum.
+        total = np.cumsum(np.vstack([total, xs[:, slot - 1]]), axis=0)[-1]
     estimate = total / replications
     dist = membership(reg, estimate, tol).dist
     margin = 3.0 * model.bound / math.sqrt(replications)

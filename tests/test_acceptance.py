@@ -39,7 +39,7 @@ from oppsched import (
 )
 from oppsched.cli import main as cli_main
 from oppsched.queueing import boundary_margin
-from oppsched.randomize import bit_positions, uniform_across_seeds
+from oppsched.randomize import bit_positions, slot_uniforms
 from oppsched.region import support
 
 from conftest import random_small_model
@@ -289,9 +289,9 @@ def test_criterion_7_randomization_quality():
         if seen & pos or len(pos) != 53:
             disjoint = False
         seen |= pos
-    seeds = np.arange(100_000)
-    u1 = uniform_across_seeds(seeds, 1)
-    u2 = uniform_across_seeds(seeds, 2)
+    seeds = np.arange(100_000, dtype=np.uint64)
+    # Slots 1 and 2 under every seed, drawn in bulk as one (seed, slot) table.
+    u1, u2 = slot_uniforms(seeds, np.tile(np.array([1, 2], dtype=np.uint64), (seeds.size, 1))).T
     counts = np.histogram(u1, bins=32, range=(0.0, 1.0))[0]
     _, p_value = scipy.stats.chisquare(counts)
     rho = float(np.corrcoef(u1, u2)[0, 1])

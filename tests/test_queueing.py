@@ -36,8 +36,8 @@ class TestStep:
 class TestArrivals:
     def test_deterministic_rows(self):
         arr = DeterministicArrivals(np.array([0.3, 0.1]))
-        rows = arr.sample_all(5, 2, RandSource(0))
-        assert rows.shape == (5, 2)
+        rows = arr.sample_all(5, 2, [RandSource(0).seed])
+        assert rows.shape == (1, 5, 2)
         assert np.all(rows == [0.3, 0.1])
 
     def test_bernoulli_mean_rate(self):
@@ -46,14 +46,14 @@ class TestArrivals:
 
     def test_bernoulli_empirical_rate(self):
         arr = BernoulliArrivals(prob=np.array([0.3, 0.7]), batch=np.array([1.0, 2.0]))
-        rows = arr.sample_all(200_000, 2, RandSource(17).stream("arrivals"))
+        rows = arr.sample_all(200_000, 2, [RandSource(17).stream("arrivals").seed])[0]
         emp = rows.mean(axis=0)
         assert emp == pytest.approx(arr.mean_rate(), abs=0.01)
 
     def test_bernoulli_reproducible(self):
         arr = BernoulliArrivals(prob=np.array([0.5]), batch=np.array([1.0]))
-        a = arr.sample_all(100, 1, RandSource(3).stream("arrivals"))
-        b = arr.sample_all(100, 1, RandSource(3).stream("arrivals"))
+        a = arr.sample_all(100, 1, [RandSource(3).stream("arrivals").seed])
+        b = arr.sample_all(100, 1, [RandSource(3).stream("arrivals").seed])
         assert np.array_equal(a, b)
 
     def test_bernoulli_rejects_slots_past_pairing_bound(self):
@@ -63,7 +63,7 @@ class TestArrivals:
         tracemalloc.start()
         try:
             with pytest.raises(InputError):
-                arr.sample_all(2**31, 2, RandSource(0))
+                arr.sample_all(2**31, 2, [RandSource(0).seed])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -163,6 +163,15 @@ class TestDominanceAgreement:
                 simplex_model, DeterministicArrivals(a), 30_000, 3
             )
             assert report.stable == dominance(simplex_region, a)
+
+    def test_boundary_margin_is_the_smallest_direction_margin(self, simplex_region):
+        # Over 1-degree directions of the quadrant the facet x + y = 1 is
+        # nearest to (0.2, 0.3), along 45 degrees; the largest margin, 0.8,
+        # is along the first axis.
+        theta = np.deg2rad(np.arange(91))
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        margin = boundary_margin(simplex_region, [0.2, 0.3], dirs)
+        assert margin == pytest.approx((1.0 - 0.5) / np.sqrt(2), abs=1e-9)
 
     def test_boundary_margin_signs(self, simplex_region):
         dirs = [np.array([1.0, 1.0])]

@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from oppsched import (
 from oppsched.errors import InputError
 from oppsched import randomize
 from oppsched.model import sample_states
-from oppsched.randomize import bit_positions, cantor_pair, uniform_across_seeds
+from oppsched.randomize import bit_positions, cantor_pair, child_seeds
 
 # Regression constants: computed once with the pure-int reference
 # implementation below (seed 42) and frozen.
@@ -47,6 +49,12 @@ def ref_uniform(seed, k, depth=53):
         return t * (t + 1) // 2 + i
 
     return sum(bit(pair(k, i)) * 2.0 ** -(i + 1) for i in range(depth))
+
+
+def across_seeds(seeds, k):
+    """U_k under each seed: the one-slot case of the bulk draw."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return slot_uniforms(seeds, np.full((seeds.size, 1), k, dtype=np.uint64))[:, 0]
 
 
 def fixed_words(monkeypatch, word: int):
@@ -152,20 +160,20 @@ class TestBitLayout:
 class TestStatisticalQuality:
     def test_across_seeds_matches_scalar(self):
         seeds = np.array([0, 1, 42, 2**63, 123456789], dtype=np.uint64)
-        vec = uniform_across_seeds(seeds, 3)
+        vec = across_seeds(seeds, 3)
         for i, t in enumerate(seeds):
             assert vec[i] == slot_uniform(RandSource(int(t)), 3)
 
     def test_chi_square_uniformity(self):
-        us = uniform_across_seeds(np.arange(100_000), 1)
+        us = across_seeds(np.arange(100_000), 1)
         counts = np.histogram(us, bins=32, range=(0.0, 1.0))[0]
         _, p = scipy.stats.chisquare(counts)
         assert p > 0.001
 
     def test_cross_slot_correlation(self):
         seeds = np.arange(100_000)
-        u1 = uniform_across_seeds(seeds, 1)
-        u2 = uniform_across_seeds(seeds, 2)
+        u1 = across_seeds(seeds, 1)
+        u2 = across_seeds(seeds, 2)
         assert abs(np.corrcoef(u1, u2)[0, 1]) < 0.01
 
     def test_streams_are_unrelated(self):
@@ -176,6 +184,50 @@ class TestStatisticalQuality:
         ua = slot_uniforms(a, ks)
         ub = slot_uniforms(b, ks)
         assert abs(np.corrcoef(ua, ub)[0, 1]) < 0.05
+
+
+class TestChildSeeds:
+    @staticmethod
+    def ref_child_seed(seed, tag):
+        """Pure-int reference: the tag's blake2b word xor the seed, mixed once
+        as word 0 of the word stream."""
+        word = int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
+        return ref_word((seed & _M64) ^ word, 0)
+
+    @given(seeds=st.lists(st.integers(-(2**64), 2**64 - 1), min_size=1, max_size=4), tag=st.text())
+    def test_many_seeds_match_stream(self, seeds, tag):
+        out = child_seeds(seeds, tag)
+        assert out.dtype == np.uint64
+        assert out.tolist() == [RandSource(s).stream(tag).seed for s in seeds]
+        assert out.tolist() == [self.ref_child_seed(s, tag) for s in seeds]
+        masked = np.array([s & _M64 for s in seeds], dtype=np.uint64)
+        assert np.array_equal(child_seeds(masked, tag), out)
+
+    @given(seed=st.integers(-(2**64), 2**64 - 1), tags=st.lists(st.text(), min_size=1, max_size=4))
+    def test_many_tags_match_stream(self, seed, tags):
+        out = child_seeds(seed, tags)
+        assert out.tolist() == [RandSource(seed).stream(t).seed for t in tags]
+        assert out.tolist() == [self.ref_child_seed(seed, t) for t in tags]
+
+
+class TestBulkDraw:
+    @pytest.mark.parametrize("b, horizon", [(1000, 300), (1, 100_000)])
+    def test_memory_bounded_by_one_block(self, b, horizon):
+        # Beyond the output array, the draw holds one block of rows at a time.
+        seeds = child_seeds(np.arange(b), "states")
+        slots = np.broadcast_to(np.arange(1, horizon + 1, dtype=np.uint64), (b, horizon))
+        tracemalloc.start()
+        try:
+            us = slot_uniforms(seeds, slots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert us.shape == (b, horizon)
+        assert peak - us.nbytes < 2 * 2**20
+
+    def test_rows_need_one_seed_each(self):
+        with pytest.raises(InputError):
+            slot_uniforms(np.arange(3, dtype=np.uint64), np.arange(1, 5, dtype=np.uint64))
 
 
 class TestDrawOption:

@@ -24,10 +24,18 @@ from oppsched import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppsched import BernoulliArrivals, RandSource, max_weight, step
+from oppsched import (
+    BernoulliArrivals,
+    RandSource,
+    max_weight,
+    randomize,
+    sample_state,
+    slot_uniform,
+    step,
+)
 from oppsched.errors import InputError
 from oppsched.region import membership
-from oppsched.sim import ConditionalMembershipReport, checkpoint_slots
+from oppsched.sim import ConditionalMembershipReport, _advance, checkpoint_slots
 
 from conftest import downlink_model, random_small_model
 
@@ -218,6 +226,25 @@ class TestMeanMembership:
         assert report.passed
         assert report.statistical
 
+    def test_estimate_outside_by_less_than_ten_margins_fails(self, two_state_model):
+        # Against the region of the same model with options halved, [0, 0.75],
+        # the always-serve estimate near 1.5 lies about 0.75 outside: beyond
+        # the margin 3*D/sqrt(R) = 0.19 (D = 2, R = 1000), within ten margins.
+        half = build_model(
+            two_state_model.states.labels,
+            two_state_model.probs,
+            [0.5 * opts for opts in two_state_model.options],
+        )
+        half_region = rate_region(half)
+        policy = deterministic_policy(two_state_model, psi=(1, 1))
+        report = verify_mean_membership(
+            two_state_model, policy, replications=1000, slot=1, region=half_region
+        )
+        assert report.dist == membership(half_region, report.estimate, 1e-10).dist
+        assert report.dist == pytest.approx(0.75, abs=0.05)
+        assert report.margin < report.dist < 10 * report.margin
+        assert not report.passed
+
     def test_adversarial_but_feasible_custom_passes(self, two_state_model, two_state_region):
         # history-dependent table, still feasible per slot, so the slot mean
         # stays achievable
@@ -278,6 +305,41 @@ class TestMeanMembershipReference:
         for r in range(1000):
             total += run(model, policy, 300, root.stream(f"rep-{r}").seed).x[299]
         assert np.array_equal(report.estimate, total / 1000)
+
+
+class TestBulkEngineReference:
+    """The slot engine over B seeds against B separate runs."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "randomized", "target", "custom", "maxweight"])
+    @given(
+        seeds=st.lists(st.integers(-(2**64), 2**64 - 1), min_size=2, max_size=4),
+        horizon=st.integers(randomize._ROWS // 2 + 1, randomize._ROWS),
+    )
+    @settings(max_examples=5)
+    def test_seeds_advance_as_separate_runs(self, kind, seeds, horizon):
+        # B * horizon (seed, slot) rows exceed one block, so some seed's row
+        # straddles a block edge of every stream.
+        model, policy, arrivals = _mean_cases()[kind]
+        states, choices, xs, fallbacks, arrival_rows, queues = _advance(
+            model, policy, horizon, seeds, arrivals
+        )
+        rows = len(seeds) * horizon
+        edges = [e for lo in range(randomize._ROWS, rows, randomize._ROWS) for e in (lo - 1, lo)]
+        for r, seed in enumerate(seeds):
+            # The states on both sides of each block edge, by the scalar draw.
+            src = RandSource(seed).stream("states")
+            for k in (e - r * horizon for e in edges if 0 <= e - r * horizon < horizon):
+                assert states[r, k] == sample_state(model, slot_uniform(src, k + 1))
+            trace = run(model, policy, horizon, seed, arrivals=arrivals)
+            assert np.array_equal(states[r], trace.states)
+            assert np.array_equal(choices[r], trace.choices)
+            assert np.array_equal(xs[r], trace.x)
+            assert np.array_equal(fallbacks[r], trace.fallbacks)
+            if arrivals is None:
+                assert arrival_rows is None and queues is None
+            else:
+                assert np.array_equal(arrival_rows[r], trace.arrivals)
+                assert np.array_equal(queues[r], trace.queues)
 
 
 class TestMaxWeightReplay:
