@@ -22,7 +22,6 @@ from .model import (
     model_from_dict,
     model_from_json,
     sample_state,
-    validate,
 )
 from .policy import (
     CustomPolicy,

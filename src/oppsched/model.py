@@ -52,13 +52,17 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Model:
-    """States, probabilities, per-state option vectors, and the ball bound."""
+    """States, probabilities, per-state option vectors, and the ball bound.
+
+    Construction checks the model, so every model that exists is valid, and
+    its ``psi`` is a certified fallback choice function.
+    """
 
     states: StateSpace
     options: tuple[np.ndarray, ...]  # one (n_options, m) array per state
     m: int
     bound: float
-    psi: tuple[int, ...] | None = None  # preferred fallback option per state
+    psi: tuple[int, ...] | None = None  # fallback option per state; first if absent
 
     def __post_init__(self):
         opts = []
@@ -70,6 +74,39 @@ class Model:
                 raise InputError(f"states[{i}].options must be vectors of dimension {self.m}")
             opts.append(arr)
         object.__setattr__(self, "options", tuple(opts))
+        issues = []
+        probs = self.probs
+        if not np.all(np.isfinite(probs)):
+            issues.append("state probabilities must be finite")
+        elif np.any(probs < 0):
+            issues.append("state probabilities must be nonnegative")
+        total = float(probs.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            issues.append(f"state probabilities sum to {total!r}, expected 1")
+        if not math.isfinite(self.bound):
+            issues.append(f"the bound must be finite, got {self.bound!r}")
+        for i, arr in enumerate(self.options):
+            state = f"state '{self.label(i)}'"
+            if arr.shape[0] == 0:
+                issues.append(f"{state} has no options (no feasible choice exists)")
+            elif not np.all(np.isfinite(arr)):
+                issues.append(f"{state} has a non-finite option entry")
+            elif (worst := float(np.linalg.norm(arr, axis=1).max())) > self.bound + 1e-9:
+                issues.append(
+                    f"{state} has an option of norm {worst!r} "
+                    f"outside the declared bound {self.bound!r}"
+                )
+        if not issues and self.psi is not None:
+            if len(self.psi) != self.n_states:
+                issues.append("psi must name one option per state")
+            else:
+                issues += [f"psi[{s}]={j} is not a valid option index"
+                           for s, j in enumerate(self.psi)
+                           if not 0 <= j < self.options[s].shape[0]]
+        if issues:
+            raise InputError("; ".join(issues))
+        psi = (0,) * self.n_states if self.psi is None else tuple(self.psi)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def n_states(self) -> int:
@@ -89,17 +126,6 @@ class Model:
         for s in range(self.n_states):
             out += self.probs[s] * (weights[s] @ self.options[s])
         return out
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[str, ...]
-    psi: tuple[int, ...] | None
-
-    def raise_on_error(self):
-        if not self.ok:
-            raise InputError("; ".join(self.issues))
 
 
 def build_model(
@@ -128,56 +154,8 @@ def build_model(
         options=tuple(opts),
         m=m,
         bound=float(bound),
-        psi=tuple(psi) if psi is not None else None,
+        psi=psi,
     )
-
-
-def validate(model: Model) -> ValidationReport:
-    """Check satisfiability, the ball bound, and probability normalization.
-
-    Success certifies a fallback choice function: the model's own psi when
-    given, otherwise the first option of every state.
-    """
-    issues = []
-    probs = model.probs
-    if not np.all(np.isfinite(probs)):
-        issues.append("state probabilities must be finite")
-    elif np.any(probs < 0):
-        issues.append("state probabilities must be nonnegative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        issues.append(f"state probabilities sum to {total!r}, expected 1")
-    if not math.isfinite(model.bound):
-        issues.append(f"the bound must be finite, got {model.bound!r}")
-    for i, arr in enumerate(model.options):
-        if arr.shape[0] == 0:
-            issues.append(
-                f"state '{model.label(i)}' has no options (no feasible choice exists)"
-            )
-        elif not np.all(np.isfinite(arr)):
-            issues.append(f"state '{model.label(i)}' has a non-finite option entry")
-        elif arr.size:
-            worst = float(np.linalg.norm(arr, axis=1).max())
-            if worst > model.bound + 1e-9:
-                issues.append(
-                    f"state '{model.label(i)}' has an option of norm {worst!r} "
-                    f"outside the declared bound {model.bound!r}"
-                )
-    psi = None
-    if not issues:
-        if model.psi is not None:
-            if len(model.psi) != model.n_states:
-                issues.append("psi must name one option per state")
-            else:
-                for s, j in enumerate(model.psi):
-                    if not (0 <= j < model.options[s].shape[0]):
-                        issues.append(f"psi[{s}]={j} is not a valid option index")
-        psi = model.psi if (model.psi is not None and not issues) else tuple(
-            0 for _ in range(model.n_states)
-        )
-        if issues:
-            psi = None
-    return ValidationReport(ok=not issues, issues=tuple(issues), psi=psi)
 
 
 @dataclass(frozen=True)
@@ -273,11 +251,7 @@ def model_from_dict(doc: dict) -> Model:
             raise InputError(f"states[{i}].options must be vectors of length {m}")
         options.append(arr.reshape(-1, m) if arr.size else np.zeros((0, m)))
     bound = doc.get("bound")
-    model = build_model(labels, probs, options, bound=None if bound is None else float(bound))
-    report = validate(model)
-    if not report.ok:
-        raise InputError(report.issues[0])
-    return model
+    return build_model(labels, probs, options, bound=None if bound is None else float(bound))
 
 
 def _resource_model_from_dict(doc: dict) -> Model:
@@ -292,11 +266,7 @@ def _resource_model_from_dict(doc: dict) -> Model:
         if probs is None
         else StateSpace(tuple(labels), np.asarray(probs, dtype=np.float64))
     )
-    model = from_resources(spec, space)
-    report = validate(model)
-    if not report.ok:
-        raise InputError(report.issues[0])
-    return model
+    return from_resources(spec, space)
 
 
 def load_json(path, what: str):

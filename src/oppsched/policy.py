@@ -9,6 +9,7 @@ causality (later states never matter) hold by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -16,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .model import Model, validate
+from .model import Model
 from .randomize import inverse_cdf
 from .region import RateRegion, TargetDecomposition, decompose
 
@@ -35,9 +36,10 @@ def max_weight(q, options) -> int:
 class Policy:
     """Base decision rule; subclasses implement ``select``."""
 
-    uses_queue = False
     uses_randomness = True  # whether the slot uniform influences decisions
-    stationary = False  # whether slot_mean ignores the prefix and the backlog
+    # Whether the rule reads only (current state, slot uniform); such rules
+    # define choices_vector, and slot_mean ignores the prefix and the backlog.
+    stationary = False
 
     def select(self, model: Model, states, u: float, queue=None) -> tuple[int, bool]:
         """Option index for the current state, plus a fallback flag.
@@ -47,42 +49,12 @@ class Policy:
         """
         raise NotImplementedError
 
-    def choices_vector(self, model: Model, states: np.ndarray, us: np.ndarray):
-        """All slot choices at once, when the rule depends only on
-        (current state, slot uniform).  None means slot-by-slot selection."""
-        return None
-
     def slot_mean(self, model: Model, prefix=(), queue=None) -> np.ndarray:
         """Exact expected decision vector for the next slot given the past."""
         raise NotImplementedError
 
     def kind(self) -> str:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class DeterministicPolicy(Policy):
-    """Fixed choice function: always option psi[s] in state s."""
-
-    uses_randomness = False
-    stationary = True
-
-    psi: tuple[int, ...]
-
-    def select(self, model, states, u, queue=None):
-        return self.psi[states[-1]], False
-
-    def choices_vector(self, model, states, us):
-        return np.asarray(self.psi, dtype=np.int64)[states]
-
-    def slot_mean(self, model, prefix=(), queue=None):
-        out = np.zeros(model.m)
-        for s in range(model.n_states):
-            out += model.probs[s] * model.options[s][self.psi[s]]
-        return out
-
-    def kind(self):
-        return "deterministic"
 
 
 @dataclass(frozen=True)
@@ -104,10 +76,16 @@ class RandomizedStationaryPolicy(Policy):
             ws.append(w)
         object.__setattr__(self, "weights", tuple(ws))
 
+    @property
+    def uses_randomness(self) -> bool:
+        """Whether some state shares time between two options."""
+        return any(np.count_nonzero(w > 0) > 1 for w in self.weights)
+
     def select(self, model, states, u, queue=None):
         return int(inverse_cdf(self.weights[states[-1]], u)), False
 
     def choices_vector(self, model, states, us):
+        """All slot choices at once, from the states and slot uniforms."""
         out = np.zeros(states.size, dtype=np.int64)
         for s, w in enumerate(self.weights):
             mask = states == s
@@ -122,6 +100,13 @@ class RandomizedStationaryPolicy(Policy):
         return "randomized"
 
 
+class DeterministicPolicy(RandomizedStationaryPolicy):
+    """Fixed choice function: option psi[s] in state s, as one-hot weights."""
+
+    def kind(self):
+        return "deterministic"
+
+
 @dataclass(frozen=True)
 class TargetPolicy(RandomizedStationaryPolicy):
     """Randomized stationary rule whose per-slot mean hits a chosen target."""
@@ -131,16 +116,11 @@ class TargetPolicy(RandomizedStationaryPolicy):
     def kind(self):
         return "target"
 
-    @property
-    def target(self) -> np.ndarray:
-        return self.decomposition.target
-
 
 @dataclass(frozen=True)
 class MaxWeightPolicy(Policy):
     """Backlog-greedy rule: maximize queue.x among the current options."""
 
-    uses_queue = True
     uses_randomness = False
 
     def select(self, model, states, u, queue=None):
@@ -222,14 +202,19 @@ def target_policy(region: RateRegion, x, tol: float = 1e-10) -> TargetPolicy:
 
 
 def deterministic_policy(model: Model, psi=None) -> DeterministicPolicy:
-    """Fixed-choice policy; defaults to the model's certified fallback."""
-    report = validate(model)
-    report.raise_on_error()
-    chosen = tuple(psi) if psi is not None else report.psi
-    for s, j in enumerate(chosen):
-        if not (0 <= j < model.options[s].shape[0]):
+    """Always option psi[s] in state s; psi defaults to the model's
+    certified fallback.  Integral floats such as 1.0 name option 1."""
+    psi = model.psi if psi is None else psi
+    if not (isinstance(psi, (list, tuple, np.ndarray)) and len(psi) == model.n_states
+            and all(isinstance(j, numbers.Real) and not isinstance(j, bool)
+                    and float(j).is_integer() for j in psi)):
+        raise InputError("field 'psi' must list one integer option index per state")
+    rows = []
+    for s, j in enumerate(map(int, psi)):
+        if not 0 <= j < model.options[s].shape[0]:
             raise InputError(f"psi[{s}]={j} is not a valid option index")
-    return DeterministicPolicy(psi=chosen)
+        rows.append(np.eye(model.options[s].shape[0])[j])
+    return DeterministicPolicy(weights=tuple(rows))
 
 
 def policy_from_dict(doc: dict, model: Model, region: RateRegion | None = None) -> Policy:

@@ -61,6 +61,8 @@ class BernoulliArrivals:
     def __post_init__(self):
         prob = np.asarray(self.prob, dtype=np.float64)
         batch = np.asarray(self.batch, dtype=np.float64)
+        if prob.ndim != 1 or prob.shape != batch.shape:
+            raise InputError("arrival 'prob' and 'batch' must be vectors of equal length")
         if not (np.all(np.isfinite(prob)) and np.all(np.isfinite(batch))):
             raise InputError("arrival probabilities and batch sizes must be finite")
         if np.any(prob < 0) or np.any(prob > 1):

@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry
 from .errors import InputError, MembershipError
 from .geometry import ConvexBody, HalfSpace
-from .model import Model, validate
+from .model import Model
 
 ENUMERATION_CAP = 1_000_000
 
@@ -39,8 +39,7 @@ class RateRegion:
 
 
 def rate_region(model: Model) -> RateRegion:
-    """Build the region for a validated model."""
-    validate(model).raise_on_error()
+    """Build the region of a model."""
     probs = model.probs
     options = model.options
 

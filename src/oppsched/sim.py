@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Model, sample_states, validate
+from .model import Model, sample_states
 from .policy import Policy
 from .randomize import MAX_SLOT, child_seeds, slot_uniforms
 from .region import RateRegion, membership, rate_region
@@ -99,15 +99,17 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
     backlogs, each with a leading axis over the seeds (arrivals and backlogs
     are None without arrivals).  Each stream (states, policy, arrivals) is
     drawn for every (seed, slot) pair with one call, under the child seeds
-    of all seeds at once.  Rules that depend only on (current state, slot
-    uniform) are evaluated for all slots at once; rules that read the
-    history or the backlog, and every run with arrivals, go slot by slot.
+    of all seeds at once.  Rules that declare ``stationary`` are evaluated
+    for all slots at once; rules that read the history or the backlog, and
+    every run with arrivals, go slot by slot with a backlog that stays zero
+    without arrivals.
     """
     if not 1 <= horizon <= MAX_SLOT:
         raise InputError(f"horizon must lie in [1, {MAX_SLOT}], got {horizon}")
-    validate(model).raise_on_error()
-
     m = model.m
+    if arrivals is not None and (shape := np.shape(arrivals.mean_rate())) != (m,):
+        raise InputError(f"field 'arrivals' needs vectors of m = {m} entries, got shape {shape}")
+
     b = len(seeds)
     slots = np.broadcast_to(np.arange(1, horizon + 1, dtype=np.uint64), (b, horizon))
     states = sample_states(model, slot_uniforms(child_seeds(seeds, "states"), slots))
@@ -120,12 +122,9 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
     options = model.options
     counts = [arr.shape[0] for arr in options]
     fallbacks = np.zeros((b, horizon), dtype=bool)
-    choices = None
-    if arrivals is None and not policy.uses_queue:
+    if policy.stationary and arrivals is None:
         choices = policy.choices_vector(model, states.ravel(), u_policy.ravel())
-
-    if choices is not None:
-        choices = np.asarray(choices, dtype=np.int64).reshape(b, horizon)
+        choices = choices.reshape(b, horizon)
         bad = (choices < 0) | (choices >= np.asarray(counts)[states])
         if np.any(bad):
             at = np.unravel_index(np.argmax(bad), bad.shape)
@@ -134,14 +133,14 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
                 f"in state {int(states[at])}"
             )
         offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-        stacked = np.vstack([arr if arr.size else np.zeros((0, m)) for arr in options])
-        return states, choices, stacked[offsets[states] + choices], fallbacks, None, None
+        xs = np.vstack(options)[offsets[states] + choices]
+        return states, choices, xs, fallbacks, None, None
 
     choices = np.empty((b, horizon), dtype=np.int64)
     xs = np.empty((b, horizon, m))
     queues = None if arrivals is None else np.empty((b, horizon, m))
     for r in range(b):
-        queue = np.zeros(m) if (arrivals is not None or policy.uses_queue) else None
+        queue = np.zeros(m)
         prefix: list[int] = []
         u_list = u_policy[r].tolist()
         for k, s in enumerate(states[r].tolist()):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oppsched.sim
-from oppsched import cli, queueing
+from oppsched import cli, queueing, randomize
 from oppsched.cli import main
 from oppsched.region import membership
 
@@ -222,6 +222,32 @@ class TestSimulateCommand:
         assert code == 2
         assert "tolerance must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "psi", [[1], [1, 0, 1], ["a", 1], 1, [0.5, 1]],
+        ids=["short", "long", "string-entry", "scalar", "fractional"],
+    )
+    def test_malformed_psi_exit_2(self, tmp_path, capsys, psi, two_state_doc):
+        model = write_json(tmp_path / "m.json", two_state_doc)
+        policy = write_json(tmp_path / "p.json", {"kind": "deterministic", "psi": psi})
+        code = main(
+            ["simulate", "--model", model, "--policy", policy, "--horizon", "100",
+             "--out", str(tmp_path / "psi"), "--quiet"]
+        )
+        assert code == 2
+        assert "field 'psi'" in capsys.readouterr().err
+
+    def test_integral_float_psi_accepted(self, tmp_path, two_state_doc):
+        model = write_json(tmp_path / "m.json", two_state_doc)
+        policy = write_json(tmp_path / "p.json", {"kind": "deterministic", "psi": [1.0, 1]})
+        out_prefix = str(tmp_path / "float")
+        code = main(
+            ["simulate", "--model", model, "--policy", policy, "--horizon", "100",
+             "--out", out_prefix, "--quiet"]
+        )
+        assert code == 0
+        rows = (tmp_path / "float.trace.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {"1"}
+
     def test_replications_report(self, tmp_path, two_state_doc):
         model = write_json(tmp_path / "m.json", two_state_doc)
         policy = write_json(tmp_path / "p.json", {"kind": "randomized", "weights": [[0.5, 0.5], [0.5, 0.5]]})
@@ -277,3 +303,24 @@ class TestQueueCommand:
         code = main(["queue", "--model", model, "--horizon", "100000", "--tol", "nan"])
         assert code == 2
         assert "tolerance must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            {"kind": "bernoulli", "prob": [0.2, 0.2, 0.2], "batch": [1.0, 1.0, 1.0]},
+            {"kind": "deterministic", "rate": [0.2, 0.2, 0.2]},
+            {"kind": "deterministic", "rate": [0.2]},
+        ],
+        ids=["bernoulli-long", "rate-long", "rate-short"],
+    )
+    def test_arrivals_of_wrong_length_exit_2(
+        self, tmp_path, capsys, monkeypatch, arrivals, simplex_doc
+    ):
+        simplex_doc["arrivals"] = arrivals
+        model = write_json(tmp_path / "m.json", simplex_doc)
+        # The arrival vectors are checked against m before any slot is drawn.
+        for module in (randomize, oppsched.sim, queueing):
+            monkeypatch.setattr(module, "slot_uniforms", refuse_call)
+        code = main(["queue", "--model", model, "--horizon", "100000"])
+        assert code == 2
+        assert "field 'arrivals'" in capsys.readouterr().err

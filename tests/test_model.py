@@ -12,7 +12,6 @@ from oppsched import (
     model_from_dict,
     model_from_json,
     sample_state,
-    validate,
 )
 from oppsched.errors import InputError
 from oppsched.model import model_to_dict, sample_states
@@ -32,34 +31,27 @@ NON_FINITE = {
 
 
 class TestValidate:
+    """A model is checked when it is built; an invalid one never exists."""
+
     @pytest.mark.parametrize("probs, options, bound", NON_FINITE.values(), ids=list(NON_FINITE))
     def test_non_finite_inputs_rejected(self, probs, options, bound):
-        report = validate(build_model(["a", "b"], probs, options, bound=bound))
-        assert not report.ok
-        assert any("finite" in issue for issue in report.issues)
+        with pytest.raises(InputError, match="finite"):
+            build_model(["a", "b"], probs, options, bound=bound)
 
     def test_two_state_reference_ok(self, two_state_model):
-        report = validate(two_state_model)
-        assert report.ok
-        assert report.psi == (0, 0)
+        assert two_state_model.psi == (0, 0)
 
     def test_empty_option_list_names_state(self):
-        model = build_model(["a", "b"], [0.5, 0.5], [[[1.0]], np.zeros((0, 1))])
-        report = validate(model)
-        assert not report.ok
-        assert any("'b'" in issue and "no options" in issue for issue in report.issues)
+        with pytest.raises(InputError, match="'b' has no options"):
+            build_model(["a", "b"], [0.5, 0.5], [[[1.0]], np.zeros((0, 1))])
 
     def test_unnormalized_probabilities(self):
-        model = build_model(["a", "b"], [0.5, 0.4], [[[1.0]], [[2.0]]])
-        report = validate(model)
-        assert not report.ok
-        assert any("sum to" in issue for issue in report.issues)
+        with pytest.raises(InputError, match="sum to"):
+            build_model(["a", "b"], [0.5, 0.4], [[[1.0]], [[2.0]]])
 
     def test_option_outside_declared_bound(self):
-        model = build_model(["a"], [1.0], [[[3.0]]], bound=1.0)
-        report = validate(model)
-        assert not report.ok
-        assert any("bound" in issue for issue in report.issues)
+        with pytest.raises(InputError, match="bound"):
+            build_model(["a"], [1.0], [[[3.0]]], bound=1.0)
 
     def test_bound_defaults_to_max_norm(self, two_state_model):
         assert two_state_model.bound == 2.0
@@ -111,7 +103,7 @@ class TestFromResources:
                 table[lab] = [rng.uniform(-1, 1, size=2).tolist() for _ in pvs]
             spec = ResourceSpec.from_table(pvs, table)
             model = from_resources(spec, StateSpace.uniform(labels))
-            assert validate(model).ok
+            assert model.psi == tuple(0 for _ in labels)
 
     def test_nonzero_psi_when_zero_power_absent(self):
         spec = ResourceSpec(
@@ -228,7 +220,7 @@ class TestJsonSchema:
         )
         assert model.m == 2
         assert model.n_states == 2
-        assert validate(model).ok
+        assert model.psi == (0, 0)
 
     def test_quantized_interval_states(self):
         space = StateSpace.quantized_interval(4)

@@ -1,17 +1,22 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from oppsched import (
+    BernoulliArrivals,
     CustomPolicy,
     MaxWeightPolicy,
     MembershipError,
     RandomizedStationaryPolicy,
     RandSource,
+    build_model,
     deterministic_policy,
     max_weight,
+    rate_region,
     run,
+    sim,
     target_policy,
 )
 from hypothesis import given
@@ -107,7 +112,8 @@ class TestFeasibility:
                 for probe in range(40):
                     k = int(rng.integers(1, 6))
                     states = [int(rng.integers(model.n_states)) for _ in range(k)]
-                    queue = rng.uniform(0, 4, size=model.m) if policy.uses_queue else None
+                    queue = (rng.uniform(0, 4, size=model.m)
+                             if isinstance(policy, MaxWeightPolicy) else None)
                     u = slot_uniform(RandSource(probe), k)
                     idx, _ = policy.select(model, states, u, queue)
                     assert 0 <= idx < model.options[states[-1]].shape[0]
@@ -221,6 +227,48 @@ class TestTargetPolicy:
     def test_unachievable_target_raises(self, two_state_region):
         with pytest.raises(MembershipError):
             target_policy(two_state_region, [1.7])
+
+
+# Option entries include -0.0, whose sign a sum can lose, and repeats, which
+# tie in the LMO.
+ONE_HOT_VALUES = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
+
+
+class TestDeterministicOneHot:
+    """A deterministic rule is the one-hot stationary rule, tied to the scalar
+    reference: option psi[s] in state s, mean sum of p_s * options[s][psi[s]]."""
+
+    @given(seed=st.integers(0, 2**32 - 1), queued=st.booleans())
+    def test_matches_scalar_reference(self, seed, queued):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        probs = rng.random(n) + 0.05
+        options = [rng.choice(ONE_HOT_VALUES, size=(int(rng.integers(1, 5)), m))
+                   for _ in range(n)]
+        model = build_model([f"s{i}" for i in range(n)], probs / probs.sum(), options)
+        psi = [int(rng.integers(arr.shape[0])) for arr in model.options]
+        policy = deterministic_policy(model, psi)
+        arrivals = (BernoulliArrivals(prob=rng.random(m), batch=rng.random(m))
+                    if queued else None)
+        run_seed = int(rng.integers(2**63))
+
+        # The arrival stream is drawn in queueing, so these count the state
+        # and policy draws only: rules without randomness skip the latter.
+        with mock.patch.object(sim, "slot_uniforms", wraps=sim.slot_uniforms) as draws:
+            trace = run(model, policy, 200, run_seed, arrivals=arrivals)
+        assert draws.call_count == 1
+        assert trace.choices.tolist() == [psi[s] for s in trace.states.tolist()]
+
+        ref = np.zeros(m)
+        for s in range(n):
+            ref = ref + model.probs[s] * model.options[s][psi[s]]
+        assert policy.slot_mean(model).tobytes() == ref.tobytes()
+
+        vertex, _ = rate_region(model).body.lmo(rng.standard_normal(m))
+        target = target_policy(rate_region(model), vertex)
+        with mock.patch.object(sim, "slot_uniforms", wraps=sim.slot_uniforms) as draws:
+            run(model, target, 200, run_seed, arrivals=arrivals)
+        assert draws.call_count == 1
 
 
 class TestPolicyJson:

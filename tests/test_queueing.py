@@ -56,6 +56,14 @@ class TestArrivals:
         b = arr.sample_all(100, 1, [RandSource(3).stream("arrivals").seed])
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "prob, batch", [([0.5, 0.5], [1.0]), (0.5, 1.0), ([[0.5]], [[1.0]])],
+        ids=["unequal", "scalar", "matrix"],
+    )
+    def test_bernoulli_needs_equal_length_vectors(self, prob, batch):
+        with pytest.raises(InputError, match="'prob' and 'batch'"):
+            BernoulliArrivals(prob=np.array(prob), batch=np.array(batch))
+
     def test_bernoulli_rejects_slots_past_pairing_bound(self):
         # 2^31 slots of 2 components need 2^32 uniforms: refused before any
         # index array is allocated.

@@ -249,6 +249,21 @@ class TestDecompose:
             decompose(two_state_region, [1.7])
         assert exc.value.certificate is not None
 
+    def test_residual_guard_rejects_mislabelled_atoms(self, two_state_region, monkeypatch):
+        # A projection that reports x itself, converged, but whose one atom
+        # names options (0, 0): the regrouped weights mean 0, not 1.5.
+        x = np.array([1.5])
+        forged = geometry.FWResult(
+            point=x.copy(), value=0.0, gap=0.0, iterations=1,
+            atoms=[geometry.Atom(x.copy(), 1.0, (0, 0))],
+        )
+        monkeypatch.setattr(geometry, "frank_wolfe", lambda *args, **kwargs: forged)
+        with pytest.raises(MembershipError) as exc:
+            decompose(two_state_region, x)
+        # The residual guard raises without a certificate; a projection
+        # verdict would carry one.
+        assert exc.value.certificate is None
+
     def test_soundness_on_random_models(self):
         rng = np.random.default_rng(10)
         for _ in range(15):
