@@ -15,7 +15,6 @@ from .geometry import (
 )
 from .model import (
     Model,
-    ResourceSpec,
     StateSpace,
     build_model,
     from_resources,
@@ -31,7 +30,6 @@ from .policy import (
     RandomizedStationaryPolicy,
     TargetPolicy,
     deterministic_policy,
-    max_weight,
     target_policy,
 )
 from .queueing import (
@@ -39,7 +37,6 @@ from .queueing import (
     DeterministicArrivals,
     StabilityReport,
     run_maxweight,
-    step,
 )
 from .randomize import RandSource, slot_uniform, slot_uniforms
 from .region import (

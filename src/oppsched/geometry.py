@@ -47,9 +47,6 @@ class HalfSpace:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
 
-    def contains(self, x, slack: float = 0.0) -> bool:
-        return float(self.a @ as_vector(x, self.a.size)) <= self.b + slack
-
     def __repr__(self):
         return f"HalfSpace(a={self.a.tolist()}, b={self.b})"
 

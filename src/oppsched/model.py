@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,21 +33,6 @@ class StateSpace:
         if probs.ndim != 1 or probs.size != len(self.labels):
             raise InputError("need one probability per state label")
         object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def uniform(cls, labels: Sequence[str]) -> "StateSpace":
-        n = len(labels)
-        return cls(tuple(labels), np.full(n, 1.0 / n))
-
-    @classmethod
-    def quantized_interval(cls, bins: int, weights=None) -> "StateSpace":
-        """Unit interval quantized into bins; states are the bin midpoints."""
-        if bins < 1:
-            raise InputError("need at least one bin")
-        mids = (np.arange(bins) + 0.5) / bins
-        labels = tuple(f"{m:.6g}" for m in mids)
-        probs = np.full(bins, 1.0 / bins) if weights is None else np.asarray(weights, float)
-        return cls(labels, probs)
 
 
 @dataclass(frozen=True)
@@ -158,52 +143,47 @@ def build_model(
     )
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
-    """Resource allocation menu: power vectors and the reward they produce."""
-
-    power_vectors: tuple[np.ndarray, ...]
-    reward: Callable[[str, np.ndarray], np.ndarray]
-    reward_dim: int
-
-    @classmethod
-    def from_table(cls, power_vectors, table: dict) -> "ResourceSpec":
-        """Table form: table[label][power_index] -> reward vector."""
-        pvs = tuple(np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in power_vectors)
-        dims = {len(np.atleast_1d(r)) for rows in table.values() for r in rows}
-        if len(dims) != 1:
-            raise InputError("reward_table rows must share one reward dimension")
-
-        def reward(label, p):
-            idx = next(i for i, q in enumerate(pvs) if np.array_equal(q, p))
-            return np.atleast_1d(np.asarray(table[label][idx], dtype=np.float64))
-
-        return cls(pvs, reward, dims.pop())
+def _vectors(value, what: str) -> np.ndarray:
+    """A nonempty list of equal-length numeric vectors, a number counting as
+    a vector of length 1, as an (n, length) array."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim not in (1, 2) or arr.shape[0] == 0:
+        raise InputError(f"{what} must be a nonempty list of equal-length numeric vectors")
+    return arr.reshape(arr.shape[0], -1)
 
 
-def from_resources(spec: ResourceSpec, states: StateSpace) -> Model:
-    """Model whose options stack each power vector with its reward.
+def from_resources(power_vectors, reward_table: dict, probs=None) -> Model:
+    """Model whose state ``label`` offers, for each power vector i, the
+    option stacking power vector i with ``reward_table[label][i]``.
 
-    The fallback choice prefers the all-zero power vector when present, so
-    doing nothing is always certified feasible.
+    Rewards are read by position, so equal power vectors keep their own
+    rewards.  States are the table's labels, equally likely unless ``probs``
+    is given.  The fallback choice prefers the first all-zero power vector
+    when present, so doing nothing is always certified feasible.
     """
-    if not spec.power_vectors:
-        raise InputError("resource spec needs at least one power vector")
-    a = spec.power_vectors[0].size
+    powers = _vectors(power_vectors, "field 'power_vectors'")
+    if not isinstance(reward_table, dict) or not reward_table:
+        raise InputError("field 'reward_table' must be a nonempty object")
     options = []
-    for label in states.labels:
-        rows = []
-        for p in spec.power_vectors:
-            r = spec.reward(label, p)
-            if r.size != spec.reward_dim:
-                raise InputError(f"reward for state '{label}' has wrong dimension")
-            rows.append(np.concatenate([p, r]))
-        options.append(np.array(rows))
-    zero_idx = next(
-        (i for i, p in enumerate(spec.power_vectors) if not np.any(p)), 0
-    )
-    psi = tuple(zero_idx for _ in states.labels)
-    return build_model(states.labels, states.probs, options, psi=psi)
+    for label, rows in reward_table.items():
+        what = f"field 'reward_table' entry '{label}'"
+        rewards = _vectors(rows, what)
+        if rewards.shape[0] != powers.shape[0]:
+            raise InputError(f"{what} must list one reward per power vector")
+        if options and powers.shape[1] + rewards.shape[1] != options[0].shape[1]:
+            raise InputError("field 'reward_table' rows must share one reward dimension")
+        options.append(np.hstack([powers, rewards]))
+    n = len(options)
+    try:
+        probs = np.full(n, 1.0 / n) if probs is None else np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError("field 'probs' must list one probability per state") from None
+    zero = np.flatnonzero(~powers.any(axis=1))
+    psi = [int(zero[0]) if zero.size else 0] * n
+    return build_model(list(reward_table), probs, options, psi=psi)
 
 
 def sample_state(model: Model, u: float) -> int:
@@ -225,7 +205,7 @@ def model_from_dict(doc: dict) -> Model:
     if not isinstance(doc, dict):
         raise InputError("model document must be a JSON object")
     if "power_vectors" in doc:
-        return _resource_model_from_dict(doc)
+        return from_resources(doc["power_vectors"], doc.get("reward_table"), doc.get("probs"))
     try:
         m = int(doc["m"])
     except KeyError:
@@ -254,21 +234,6 @@ def model_from_dict(doc: dict) -> Model:
     return build_model(labels, probs, options, bound=None if bound is None else float(bound))
 
 
-def _resource_model_from_dict(doc: dict) -> Model:
-    table = doc.get("reward_table")
-    if not isinstance(table, dict) or not table:
-        raise InputError("field 'reward_table' must be a nonempty object")
-    spec = ResourceSpec.from_table(doc["power_vectors"], table)
-    labels = list(table.keys())
-    probs = doc.get("probs")
-    space = (
-        StateSpace.uniform(labels)
-        if probs is None
-        else StateSpace(tuple(labels), np.asarray(probs, dtype=np.float64))
-    )
-    return from_resources(spec, space)
-
-
 def load_json(path, what: str):
     """Parse a JSON file; a missing or malformed ``what`` file is an InputError."""
     try:
@@ -282,18 +247,3 @@ def load_json(path, what: str):
 
 def model_from_json(path) -> Model:
     return model_from_dict(load_json(path, "model"))
-
-
-def model_to_dict(model: Model) -> dict:
-    return {
-        "m": model.m,
-        "states": [
-            {
-                "label": model.label(s),
-                "prob": float(model.probs[s]),
-                "options": model.options[s].tolist(),
-            }
-            for s in range(model.n_states)
-        ],
-        "bound": model.bound,
-    }

@@ -22,17 +22,6 @@ from .randomize import inverse_cdf
 from .region import RateRegion, TargetDecomposition, decompose
 
 
-def max_weight(q, options) -> int:
-    """Index of the option maximizing the backlog-weighted rate q.x; ties go low."""
-    q = np.asarray(q, dtype=np.float64)
-    opts = np.atleast_2d(np.asarray(options, dtype=np.float64))
-    if opts.shape[0] == 0:
-        raise InputError("options must be nonempty")
-    if np.any(q < 0):
-        raise InputError("queue weights must be nonnegative")
-    return int(np.argmax(opts @ q))
-
-
 class Policy:
     """Base decision rule; subclasses implement ``select``."""
 
@@ -130,10 +119,12 @@ class MaxWeightPolicy(Policy):
         return int(np.argmax(model.options[states[-1]] @ queue)), False
 
     def slot_mean(self, model, prefix=(), queue=None):
-        q = np.zeros(model.m) if queue is None else queue
+        q = np.zeros(model.m) if queue is None else np.asarray(queue, dtype=np.float64)
+        if np.any(q < 0):
+            raise InputError("queue weights must be nonnegative")
         out = np.zeros(model.m)
         for s in range(model.n_states):
-            out += model.probs[s] * model.options[s][max_weight(q, model.options[s])]
+            out += model.probs[s] * model.options[s][self.select(model, [s], None, q)[0]]
         return out
 
     def kind(self):

@@ -22,16 +22,6 @@ from .sim import Trace, run
 STABLE_SLOPE = 0.01
 
 
-def step(q, a, x) -> np.ndarray:
-    """One backlog update: serve x against arrivals a, floored at zero."""
-    q = np.asarray(q, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(a < 0) or np.any(x < 0):
-        raise InputError("arrivals and service must be nonnegative")
-    return np.maximum(q + a - x, 0.0)
-
-
 @dataclass(frozen=True)
 class DeterministicArrivals:
     """The same arrival vector every slot."""

@@ -155,10 +155,14 @@ _TINY = np.nextafter(0.0, 1.0)
 def inverse_cdf(weights, u):
     """Cell of u in [0, 1) under the cell masses ``weights``: the first cell
     whose cumulative mass reaches u, so boundary ties go low, and u = 0 lands
-    in the first cell of positive mass.  The top edge is guarded against
-    rounding, so every u < 1 falls in some cell.  ``u`` may be a scalar or an
-    array; state draws and stationary option draws both go through here.
+    in the first cell of positive mass.  A total short of 1 by rounding is
+    made up from the last cell of positive mass on (the last cell if none),
+    so every u < 1 falls in a cell of positive mass.  ``u`` may be a scalar or
+    an array; state draws and stationary option draws both go through here.
     """
     cum = np.cumsum(weights)
-    cum[-1] = max(cum[-1], 1.0)
+    if cum[-1] < 1.0:  # a total of at least 1 already covers every u < 1
+        positive = np.flatnonzero(np.asarray(weights) > 0)
+        top = positive[-1] if positive.size else -1
+        cum[top:] = np.maximum(cum[top:], 1.0)
     return np.searchsorted(cum, np.maximum(u, _TINY), side="left")

@@ -110,9 +110,6 @@ class FactorTable:
     ys: tuple[FiniteRV, ...] = field(repr=False)
     block_counts: tuple[int, ...] = field(repr=False)
 
-    def evaluate_blocks(self, blocks: Sequence[int]) -> float:
-        return self.table[tuple(blocks)]
-
     def evaluate(self, y_values: Sequence[float]) -> float:
         """Apply the table to encoded values (as produced by the shared ys)."""
         blocks = tuple(

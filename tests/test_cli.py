@@ -90,6 +90,20 @@ class TestFactorCommand:
         assert out["tables"][0]["cells"] == [{"blocks": [0], "value": 4.0}]
 
 
+RESOURCE_DOC = {
+    "power_vectors": [[0.0], [1.0]],
+    "reward_table": {"lo": [[0.0], [0.5]], "hi": [[0.0], [1.0]]},
+}
+
+# One malformed field per case, and the field the error must name.
+MALFORMED_RESOURCES = {
+    "short-row": ({"reward_table": {"lo": [[0.0]], "hi": [[0.0], [1.0]]}}, "reward_table"),
+    "number-row": ({"reward_table": {"lo": 5, "hi": [[0.0], [1.0]]}}, "reward_table"),
+    "ragged-power": ({"power_vectors": [[0], [1, 2]]}, "power_vectors"),
+    "scalar-power": ({"power_vectors": 5}, "power_vectors"),
+}
+
+
 class TestRegionCommand:
     def test_two_state_generators(self, tmp_path, capsys, two_state_doc):
         model = write_json(tmp_path / "m.json", two_state_doc)
@@ -114,6 +128,12 @@ class TestRegionCommand:
         model = write_json(tmp_path / "m.json", two_state_doc)
         assert main(["region", "--model", model]) == 2
         assert "sum to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch, field", MALFORMED_RESOURCES.values(), ids=list(MALFORMED_RESOURCES))
+    def test_malformed_resource_form_exit_2(self, tmp_path, capsys, patch, field):
+        model = write_json(tmp_path / "m.json", {**RESOURCE_DOC, **patch})
+        assert main(["region", "--model", model]) == 2
+        assert f"'{field}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

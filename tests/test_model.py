@@ -5,8 +5,6 @@ import pytest
 
 from oppsched import (
     RandSource,
-    ResourceSpec,
-    StateSpace,
     build_model,
     from_resources,
     model_from_dict,
@@ -14,7 +12,7 @@ from oppsched import (
     sample_state,
 )
 from oppsched.errors import InputError
-from oppsched.model import model_to_dict, sample_states
+from oppsched.model import sample_states
 from oppsched.randomize import slot_uniforms
 
 
@@ -53,19 +51,21 @@ class TestValidate:
         with pytest.raises(InputError, match="bound"):
             build_model(["a"], [1.0], [[[3.0]]], bound=1.0)
 
+    def test_bound_slack_is_tight(self):
+        # Options may pass the bound by rounding (1e-9), not by 1e-6.
+        with pytest.raises(InputError, match="outside the declared bound"):
+            build_model(["a"], [1.0], [[[0.6, 0.8 + 1e-6]]], bound=1.0)
+        model = build_model(["a"], [1.0], [[[0.6, 0.8 + 1e-12]]], bound=1.0)
+        assert model.bound == 1.0
+
     def test_bound_defaults_to_max_norm(self, two_state_model):
         assert two_state_model.bound == 2.0
 
 
 class TestFromResources:
     def test_two_power_levels(self):
-        spec = ResourceSpec(
-            power_vectors=(np.array([0.0]), np.array([1.0])),
-            reward=lambda label, p: np.array([float(label) * p[0]]),
-            reward_dim=1,
-        )
-        states = StateSpace(("0.5", "1.0"), np.array([0.5, 0.5]))
-        model = from_resources(spec, states)
+        table = {"0.5": [[0.0], [0.5]], "1.0": [[0.0], [1.0]]}
+        model = from_resources([[0.0], [1.0]], table, probs=[0.5, 0.5])
         assert model.m == 2
         assert model.options[0].tolist() == [[0.0, 0.0], [1.0, 0.5]]
         assert model.options[1].tolist() == [[0.0, 0.0], [1.0, 1.0]]
@@ -73,23 +73,13 @@ class TestFromResources:
         assert model.psi == (0, 0)
 
     def test_singleton_power_set(self):
-        spec = ResourceSpec(
-            power_vectors=(np.array([0.0]),),
-            reward=lambda label, p: np.array([2.0]),
-            reward_dim=1,
-        )
-        model = from_resources(spec, StateSpace.uniform(["a", "b"]))
+        model = from_resources([[0.0]], {"a": [[2.0]], "b": [[2.0]]})
         for arr in model.options:
             assert arr.shape == (1, 2)
             assert arr.tolist() == [[0.0, 2.0]]
 
     def test_zero_reward_map(self):
-        spec = ResourceSpec(
-            power_vectors=(np.array([0.0]), np.array([2.0])),
-            reward=lambda label, p: np.array([0.0]),
-            reward_dim=1,
-        )
-        model = from_resources(spec, StateSpace.uniform(["a"]))
+        model = from_resources([[0.0], [2.0]], {"a": [[0.0], [0.0]]})
         assert model.options[0].tolist() == [[0.0, 0.0], [2.0, 0.0]]
 
     def test_output_always_validates(self):
@@ -101,18 +91,19 @@ class TestFromResources:
             labels = [f"s{i}" for i in range(int(rng.integers(1, 4)))]
             for lab in labels:
                 table[lab] = [rng.uniform(-1, 1, size=2).tolist() for _ in pvs]
-            spec = ResourceSpec.from_table(pvs, table)
-            model = from_resources(spec, StateSpace.uniform(labels))
+            model = from_resources(pvs, table)
             assert model.psi == tuple(0 for _ in labels)
 
     def test_nonzero_psi_when_zero_power_absent(self):
-        spec = ResourceSpec(
-            power_vectors=(np.array([1.0]), np.array([2.0])),
-            reward=lambda label, p: np.array([1.0]),
-            reward_dim=1,
-        )
-        model = from_resources(spec, StateSpace.uniform(["a"]))
+        model = from_resources([[1.0], [2.0]], {"a": [[1.0], [1.0]]})
         assert model.psi == (0,)
+
+    def test_duplicate_power_vectors_keep_their_own_rewards(self):
+        model = model_from_dict(
+            {"power_vectors": [[1.0], [1.0], [0.0]], "reward_table": {"a": [[0.25], [0.75], [0.0]]}}
+        )
+        assert model.options[0].tolist() == [[1.0, 0.25], [1.0, 0.75], [0.0, 0.0]]
+        assert model.psi == (2,)
 
 
 class TestSampleState:
@@ -147,7 +138,15 @@ class TestSampleState:
 
 class TestJsonSchema:
     def test_round_trip(self, two_state_model, tmp_path):
-        doc = model_to_dict(two_state_model)
+        doc = {
+            "m": two_state_model.m,
+            "states": [
+                {"label": two_state_model.label(s), "prob": float(two_state_model.probs[s]),
+                 "options": two_state_model.options[s].tolist()}
+                for s in range(two_state_model.n_states)
+            ],
+            "bound": two_state_model.bound,
+        }
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         model = model_from_json(path)
@@ -221,8 +220,3 @@ class TestJsonSchema:
         assert model.m == 2
         assert model.n_states == 2
         assert model.psi == (0, 0)
-
-    def test_quantized_interval_states(self):
-        space = StateSpace.quantized_interval(4)
-        assert len(space.labels) == 4
-        assert np.allclose(space.probs, 0.25)

@@ -13,7 +13,6 @@ from oppsched import (
     RandSource,
     build_model,
     deterministic_policy,
-    max_weight,
     rate_region,
     run,
     sim,
@@ -29,29 +28,37 @@ from oppsched.randomize import slot_uniform
 from conftest import random_small_model
 
 
+def max_weight_choice(q, options) -> int:
+    """The max-weight choice among ``options`` under backlog ``q``, as the
+    rule picks it in a one-state model."""
+    model = build_model(["s"], [1.0], [options])
+    return MaxWeightPolicy().select(model, [0], None, np.asarray(q, dtype=np.float64))[0]
+
+
 class TestMaxWeight:
     def test_zero_queue_tie_break(self):
-        assert max_weight([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]) == 0
+        assert max_weight_choice([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]) == 0
 
     def test_heavier_component_wins(self):
-        assert max_weight([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]) == 1
+        assert max_weight_choice([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]) == 1
 
     def test_combined_option_beats_pure(self):
         opts = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]]
-        assert max_weight([5.0, 5.0], opts) == 2
+        assert max_weight_choice([5.0, 5.0], opts) == 2
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             q = rng.uniform(0, 3, size=3)
             opts = rng.uniform(-1, 1, size=(4, 3))
-            base = max_weight(q, opts)
+            base = max_weight_choice(q, opts)
             for c in (0.1, 2.0, 1000.0):
-                assert max_weight(c * q, opts) == base
+                assert max_weight_choice(c * q, opts) == base
 
-    def test_negative_queue_rejected(self):
-        with pytest.raises(InputError):
-            max_weight([-1.0], [[1.0]])
+    def test_negative_queue_rejected(self, simplex_model):
+        # slot_mean is the public method that takes a caller's backlog.
+        with pytest.raises(InputError, match="nonnegative"):
+            MaxWeightPolicy().slot_mean(simplex_model, queue=np.array([-1.0, 0.0]))
 
 
 class TestDecide:
@@ -269,6 +276,15 @@ class TestDeterministicOneHot:
         with mock.patch.object(sim, "slot_uniforms", wraps=sim.slot_uniforms) as draws:
             run(model, target, 200, run_seed, arrivals=arrivals)
         assert draws.call_count == 1
+
+
+class TestWeightRows:
+    def test_sum_tolerance_is_tight(self):
+        # Rows may miss 1 by rounding (1e-9), not by 1e-6.
+        with pytest.raises(InputError, match="sum to 1"):
+            RandomizedStationaryPolicy(weights=(np.array([0.5, 0.5 + 1e-6]),))
+        policy = RandomizedStationaryPolicy(weights=(np.array([0.5, 0.5 + 1e-12]),))
+        assert policy.weights[0].tolist() == [0.5, 0.5 + 1e-12]
 
 
 class TestPolicyJson:

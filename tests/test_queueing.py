@@ -7,30 +7,43 @@ import pytest
 from oppsched import (
     BernoulliArrivals,
     DeterministicArrivals,
+    MaxWeightPolicy,
     RandSource,
     build_model,
     dominance,
+    run,
     run_maxweight,
-    step,
 )
 from oppsched.errors import InputError
 from oppsched.queueing import arrivals_from_dict, boundary_margin
 
 
+def backlogs(options, rate, horizon):
+    """The engine's backlog after each slot of a one-state max-weight run
+    under the same arrivals every slot."""
+    model = build_model(["s"], [1.0], [options])
+    trace = run(model, MaxWeightPolicy(), horizon, 0, arrivals=DeterministicArrivals(rate))
+    return trace.queues.tolist()
+
+
 class TestStep:
+    """The engine's backlog update: serve x against arrivals a, floored at zero."""
+
     def test_balanced_slot(self):
-        assert step([0.0, 0.0], [1.0, 0.0], [1.0, 0.0]).tolist() == [0.0, 0.0]
+        assert backlogs([[1.0, 0.0]], [1.0, 0.0], 1) == [[0.0, 0.0]]
 
     def test_floor_at_zero(self):
-        assert step([2.0, 0.0], [0.0, 0.0], [5.0, 0.0]).tolist() == [0.0, 0.0]
+        # Slot 1 ties at an empty backlog and serves nothing; slot 2 serves
+        # 5 against a backlog of 2 + 2.
+        assert backlogs([[0.0, 0.0], [5.0, 0.0]], [2.0, 0.0], 2) == [[2.0, 0.0], [0.0, 0.0]]
 
     def test_mixed_arithmetic(self):
-        out = step([1.0, 1.0], [0.4, 0.4], [1.0, 0.0])
-        assert out.tolist() == pytest.approx([0.4, 1.4])
+        out = backlogs([[1.0, 0.0]], [0.4, 0.4], 2)
+        assert out == [pytest.approx([0.0, 0.4]), pytest.approx([0.0, 0.8])]
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(InputError):
-            step([0.0], [-0.1], [0.0])
+            DeterministicArrivals(np.array([-0.1]))
 
 
 class TestArrivals:

@@ -264,10 +264,14 @@ class TestDrawOption:
 
 
 def ref_cell(weights, u):
-    """The plain inverse-CDF cell, top edge guarded as in the primitive."""
+    """The plain inverse-CDF cell, top edge guarded as in the primitive; a u
+    above the last positive cell's cumulative mass lands in that cell."""
     cum = np.cumsum(weights)
-    cum[-1] = max(cum[-1], 1.0)
-    return np.searchsorted(cum, u, side="left")
+    positive = np.flatnonzero(np.asarray(weights) > 0)
+    cells = np.searchsorted(np.append(cum[:-1], max(cum[-1], 1.0)), u, side="left")
+    if positive.size:
+        cells = np.where(np.asarray(u) > cum[positive[-1]], positive[-1], cells)
+    return cells
 
 
 class TestInverseCdf:
@@ -287,6 +291,19 @@ class TestInverseCdf:
         policy = RandomizedStationaryPolicy(weights=(np.array([0.0, 1.0]),))
         chosen = policy.choices_vector(model, np.zeros(2, dtype=np.int64), np.array([0.0, 0.3]))
         assert chosen.tolist() == [1, 1]
+
+    def test_option_draw_skips_trailing_zero_weight_option(self):
+        # The row sums to 1 - 1e-10, inside the 1e-9 tolerance; a draw above
+        # its mass must not land in the zero-weight cell after it.
+        policy = RandomizedStationaryPolicy(weights=(np.array([0.5, 0.5 - 1e-10, 0.0]),))
+        assert policy.select(None, [0], 1 - 5e-11) == (1, False)
+        chosen = policy.choices_vector(None, np.zeros(2, dtype=np.int64), np.array([0.75, 1 - 5e-11]))
+        assert chosen.tolist() == [1, 1]
+
+    def test_state_draw_skips_trailing_zero_probability_state(self):
+        model = build_model(["a", "b", "z"], [0.5, 0.5 - 1e-13, 0.0], [[[0.0]], [[1.0]], [[0.5]]])
+        assert sample_state(model, 1 - 5e-14) == 1
+        assert sample_states(model, np.array([0.75, 1 - 5e-14])).tolist() == [1, 1]
 
     def test_all_zero_streams_draw_positive_mass(self, monkeypatch):
         fixed_words(monkeypatch, 0)

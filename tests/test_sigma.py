@@ -174,7 +174,7 @@ class TestFactorize:
         # block pair (b1, b2) carries the value 2*b1 + b2
         for b1 in range(2):
             for b2 in range(2):
-                assert table.evaluate_blocks((b1, b2)) == 2 * b1 + b2
+                assert table.table[(b1, b2)] == 2 * b1 + b2
         for w in range(4):
             assert table.evaluate_point(w) == x(w)
 
@@ -190,8 +190,8 @@ class TestFactorize:
         h1 = Partition.from_blocks(space, [[0, 1], [2, 3]])
         x = FiniteRV(space, [1, 1, 2, 2])
         (table,) = factorize([x], [h1], [{0}])
-        assert table.evaluate_blocks((0,)) == 1
-        assert table.evaluate_blocks((1,)) == 2
+        assert table.table[(0,)] == 1
+        assert table.table[(1,)] == 2
 
     def test_failure_reports_witness(self):
         space = FiniteSpace(4)
