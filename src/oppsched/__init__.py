@@ -15,7 +15,6 @@ from .geometry import (
 )
 from .model import (
     Model,
-    StateSpace,
     build_model,
     from_resources,
     model_from_dict,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import geometry, queueing, region as region_mod, sigma
-from .errors import InputError
+from .errors import InputError, as_floats, as_ints
 from .model import load_json, model_from_dict, model_from_json
 from .policy import policy_from_dict
 from .sim import run, verify_avg_convergence, verify_mean_membership, write_trace_csv
@@ -44,32 +44,44 @@ def _unit_directions(m: int, count: int, seed: int) -> np.ndarray:
     return dirs / norms
 
 
+def _index_lists(value, what: str) -> list:
+    """A list of integer index lists, read entry by entry."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of index lists")
+    return [as_ints(v, f"{what}[{j}]", ndim=1) for j, v in enumerate(value)]
+
+
 def cmd_factor(args) -> int:
     doc = load_json(args.spec, "factor spec")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("missing or invalid field 'n'") from None
+    if not isinstance(doc, dict):
+        raise InputError("factor spec must be a JSON object")
+    n = as_ints(doc.get("n"), "field 'n'", ndim=0)
     space = sigma.FiniteSpace(n)
-    parts = []
-    for i, p in enumerate(doc.get("partitions", [])):
-        if isinstance(p, dict) and "blocks" in p:
-            parts.append(sigma.Partition.from_blocks(space, p["blocks"]))
-        elif isinstance(p, dict) and "sets" in p:
-            parts.append(sigma.generate(space, p["sets"]))
-        elif isinstance(p, list):
-            parts.append(sigma.Partition.from_blocks(space, p))
-        else:
-            raise InputError(f"partitions[{i}] must give 'blocks' or 'sets'")
-    if not parts:
-        raise InputError("field 'partitions' must be a nonempty list")
-    rvs = [sigma.FiniteRV(space, vals) for vals in doc.get("rvs", [])]
-    if not rvs:
+    # The variables tie n to the document's own size before any partition
+    # walks the space.
+    rvs = doc.get("rvs")
+    if not isinstance(rvs, list) or not rvs:
         raise InputError("field 'rvs' must be a nonempty list")
+    rvs = [sigma.FiniteRV(space, as_floats(v, f"rvs[{k}]", ndim=1)) for k, v in enumerate(rvs)]
+    partitions = doc.get("partitions")
+    if not isinstance(partitions, list) or not partitions:
+        raise InputError("field 'partitions' must be a nonempty list")
+    parts = []
+    for i, p in enumerate(partitions):
+        what = f"partitions[{i}]"
+        if isinstance(p, dict) and "blocks" in p:
+            blocks = _index_lists(p["blocks"], f"{what}.blocks")
+            parts.append(sigma.Partition.from_blocks(space, blocks))
+        elif isinstance(p, dict) and "sets" in p:
+            parts.append(sigma.generate(space, _index_lists(p["sets"], f"{what}.sets")))
+        elif isinstance(p, list):
+            parts.append(sigma.Partition.from_blocks(space, _index_lists(p, what)))
+        else:
+            raise InputError(f"{what} must give 'blocks' or 'sets'")
     deps = doc.get("deps")
     if not isinstance(deps, list) or len(deps) != len(rvs):
         raise InputError("field 'deps' must list one index set per rv")
-    tables = sigma.factorize(rvs, parts, deps)
+    tables = sigma.factorize(rvs, parts, _index_lists(deps, "deps"))
     out_doc = {
         "n": n,
         "tables": [

@@ -1,8 +1,49 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader that turns
+numbers arriving from outside the program into arrays."""
+
+import numpy as np
 
 
 class InputError(ValueError):
     """Malformed or out-of-contract input (bad schema, bad index, bad weights)."""
+
+
+# Document numbers stay far enough inside float range that their squares and
+# sums of squares (norms, gaps, certificates) cannot overflow.
+MAX_MAGNITUDE = 1e150
+
+_SHAPES = {0: "a finite number", 1: "a list of finite numbers",
+           2: "a list of equal-length lists of finite numbers"}
+
+
+def as_floats(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a float64 array of finite numbers no larger than
+    ``MAX_MAGNITUDE``, with ``ndim`` axes when given; otherwise InputError
+    naming ``what``.
+
+    Only ints and floats count as numbers: None (which ``np.asarray`` would
+    read as nan), strings, booleans and ragged lists are refused.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf"
+            or not np.all(np.abs(arr) <= MAX_MAGNITUDE)
+            or (ndim is not None and arr.ndim != ndim)):
+        shape = _SHAPES.get(ndim, "finite numbers")
+        raise InputError(f"{what} must be {shape} of magnitude at most {MAX_MAGNITUDE:g}")
+    return arr.astype(np.float64, copy=False)
+
+
+def as_ints(value, what: str, ndim: int | None = None):
+    """``value`` read by ``as_floats`` with every entry integral, as a
+    Python int or nested lists of them; ``2.0`` reads as 2.  Entries past
+    2**53, where float64 no longer holds every integer, are refused."""
+    arr = as_floats(value, what, ndim)
+    if not np.all((arr == np.round(arr)) & (np.abs(arr) <= 2**53)):
+        raise InputError(f"{what} must be integers")
+    return arr.astype(np.int64).tolist()
 
 
 class MeasurabilityError(InputError):

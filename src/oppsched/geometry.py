@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 
 DEFAULT_TOL = 1e-10
-MAX_ITER = 100_000
+MAX_ITER = 10_000
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -109,15 +109,14 @@ def frank_wolfe(
     *,
     tol: float = DEFAULT_TOL,
     f_stop: float = 0.0,
-    on_cap: str = "raise",
 ) -> FWResult:
     """Project x onto the body: minimize ||x - y||^2 over the body with
     exact line searches, tracking the active atoms.
 
     Stops when the duality gap drops to ``tol`` (certifying
-    ||x - y||^2 - min <= tol) or as soon as ||x - y||^2 <= f_stop.  After
-    ``MAX_ITER`` iterations either raises (default) or, with
-    ``on_cap="return"``, hands back the best iterate found.
+    ||x - y||^2 - min <= tol) or as soon as ||x - y||^2 <= f_stop.  A
+    projection still open after ``MAX_ITER`` iterations is finished by
+    min-norm-point cycles; ConvergenceError when those fail too.
     """
     if tol < 0:
         raise InputError("tolerance must be nonnegative")
@@ -178,8 +177,6 @@ def frank_wolfe(
     res = _min_norm_point(body, x, tol, f_stop, weights, points)
     if res is not None:
         return res
-    if on_cap == "return":
-        return _finish(x, y, _sq_dist(x, y), gap, MAX_ITER, weights, points)
     raise ConvergenceError(
         f"Frank-Wolfe did not converge within {MAX_ITER} iterations", gap
     )
@@ -190,8 +187,10 @@ def _min_norm_point(body, x, tol, f_stop, weights, points) -> FWResult | None:
     active atoms: each minor cycle moves to the best point of the atoms'
     affine hull, or as far toward it as their weights allow, dropping the
     atom whose weight reaches 0; each major cycle adds the LMO's atom.
-    None when a cycle ends uncertified without getting closer to x, offers
-    an atom already held, or exceeds ``MAX_ITER`` cycles."""
+    When the LMO offers an atom already held, the affine minimizer is the
+    projection to float precision (its gap is rounding).  None when a cycle
+    ends uncertified without getting closer to x, or after ``MAX_ITER``
+    cycles."""
     keys = list(weights)
     pts = np.array([points[k] for k in keys])
     lam = np.array([weights[k] for k in keys]) / sum(weights.values())
@@ -213,10 +212,10 @@ def _min_norm_point(body, x, tol, f_stop, weights, points) -> FWResult | None:
         val, g = _sq_dist(x, y), 2.0 * (y - x)
         s, sk = body.lmo(g)
         gap = float(g @ (y - s))
-        if val <= f_stop or gap <= tol:
+        if val <= f_stop or gap <= tol or sk in keys:
             weights, points = dict(zip(keys, w.tolist())), dict(zip(keys, pts))
             return _finish(x, y, val, max(gap, 0.0), MAX_ITER + it, weights, points)
-        if sk in keys or val >= last:
+        if val >= last:
             return None
         keys, pts, lam, last = keys + [sk], np.vstack([pts, s]), np.append(w, 0.0), val
     return None

@@ -9,100 +9,87 @@ whole downstream geometry exactly computable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_floats, as_ints
 from .randomize import inverse_cdf
 
 PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Finite state labels with their probabilities."""
+class Model:
+    """State labels and probabilities, per-state option vectors, and the
+    ball bound.
+
+    Construction converts and checks every field, so every model that exists
+    is valid, and its ``psi`` is a certified fallback choice function.  The
+    dimension ``m`` defaults to that of the first nonempty option list and
+    the bound to the largest option norm.
+    """
 
     labels: tuple[str, ...]
     probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size != len(self.labels):
-            raise InputError("need one probability per state label")
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class Model:
-    """States, probabilities, per-state option vectors, and the ball bound.
-
-    Construction checks the model, so every model that exists is valid, and
-    its ``psi`` is a certified fallback choice function.
-    """
-
-    states: StateSpace
     options: tuple[np.ndarray, ...]  # one (n_options, m) array per state
-    m: int
-    bound: float
+    bound: float | None = None
     psi: tuple[int, ...] | None = None  # fallback option per state; first if absent
+    m: int | None = None
 
     def __post_init__(self):
-        opts = []
-        for i, arr in enumerate(self.options):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1) if self.m == 1 else arr.reshape(1, -1)
-            if arr.ndim != 2 or (arr.size and arr.shape[1] != self.m):
-                raise InputError(f"states[{i}].options must be vectors of dimension {self.m}")
-            opts.append(arr)
-        object.__setattr__(self, "options", tuple(opts))
+        labels = tuple(self.labels)
+        probs = as_floats(self.probs, "state probabilities", ndim=1)
+        options = tuple(as_floats(a, f"states[{i}].options") for i, a in enumerate(self.options))
+        if not probs.size == len(options) == len(labels):
+            raise InputError("need one probability and one option list per state label")
+        m = self.m
+        if m is None:
+            m = next((a.shape[-1] for a in options if a.ndim and a.size), None)
+            if m is None:
+                raise InputError("cannot infer the dimension: no option list holds a vector")
+        for i, arr in enumerate(options):
+            if arr.size and (arr.ndim != 2 or arr.shape[1] != m):
+                raise InputError(f"states[{i}].options must be vectors of length {m}")
+        if self.bound is None:
+            bound = float(max((np.linalg.norm(a, axis=1).max() for a in options if a.size),
+                              default=0.0))
+        else:
+            bound = float(as_floats(self.bound, "field 'bound'", ndim=0))
         issues = []
-        probs = self.probs
-        if not np.all(np.isfinite(probs)):
-            issues.append("state probabilities must be finite")
-        elif np.any(probs < 0):
+        if np.any(probs < 0):
             issues.append("state probabilities must be nonnegative")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             issues.append(f"state probabilities sum to {total!r}, expected 1")
-        if not math.isfinite(self.bound):
-            issues.append(f"the bound must be finite, got {self.bound!r}")
-        for i, arr in enumerate(self.options):
-            state = f"state '{self.label(i)}'"
-            if arr.shape[0] == 0:
-                issues.append(f"{state} has no options (no feasible choice exists)")
-            elif not np.all(np.isfinite(arr)):
-                issues.append(f"{state} has a non-finite option entry")
-            elif (worst := float(np.linalg.norm(arr, axis=1).max())) > self.bound + 1e-9:
+        for label, arr in zip(labels, options):
+            if arr.size == 0:
+                issues.append(f"state '{label}' has no options (no feasible choice exists)")
+            elif (worst := float(np.linalg.norm(arr, axis=1).max())) > bound + 1e-9:
                 issues.append(
-                    f"{state} has an option of norm {worst!r} "
-                    f"outside the declared bound {self.bound!r}"
+                    f"state '{label}' has an option of norm {worst!r} "
+                    f"outside the declared bound {bound!r}"
                 )
         if not issues and self.psi is not None:
-            if len(self.psi) != self.n_states:
+            if len(self.psi) != len(labels):
                 issues.append("psi must name one option per state")
             else:
                 issues += [f"psi[{s}]={j} is not a valid option index"
                            for s, j in enumerate(self.psi)
-                           if not 0 <= j < self.options[s].shape[0]]
+                           if not 0 <= j < options[s].shape[0]]
         if issues:
             raise InputError("; ".join(issues))
-        psi = (0,) * self.n_states if self.psi is None else tuple(self.psi)
-        object.__setattr__(self, "psi", psi)
+        psi = (0,) * len(labels) if self.psi is None else tuple(self.psi)
+        for name, value in (("labels", labels), ("probs", probs), ("options", options),
+                            ("bound", bound), ("psi", psi), ("m", m)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
-        return len(self.states.labels)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.states.probs
+        return len(self.labels)
 
     def label(self, s: int) -> str:
-        return self.states.labels[s]
+        return self.labels[s]
 
     def stationary_mean(self, weights) -> np.ndarray:
         """Expected decision vector when state s picks its options with
@@ -113,44 +100,16 @@ class Model:
         return out
 
 
-def build_model(
-    labels: Sequence[str],
-    probs,
-    options: Sequence,
-    bound: float | None = None,
-    psi: Sequence[int] | None = None,
-) -> Model:
-    """Assemble a model, computing the ball bound from the options if absent."""
-    opts = []
-    m = None
-    for arr in options:
-        arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        if m is None and arr.size:
-            m = arr.shape[1]
-        opts.append(arr)
-    if m is None:
-        raise InputError("cannot infer dimension: all option lists are empty")
-    opts = [a if a.size else np.zeros((0, m)) for a in opts]
-    if bound is None:
-        norms = [np.linalg.norm(a, axis=1).max() for a in opts if a.size]
-        bound = float(max(norms)) if norms else 0.0
-    return Model(
-        states=StateSpace(tuple(labels), np.asarray(probs, dtype=np.float64)),
-        options=tuple(opts),
-        m=m,
-        bound=float(bound),
-        psi=psi,
-    )
+# build_model(labels, probs, options, bound=None, psi=None): the positional
+# constructor, with m inferred from the options.
+build_model = Model
 
 
 def _vectors(value, what: str) -> np.ndarray:
     """A nonempty list of equal-length numeric vectors, a number counting as
     a vector of length 1, as an (n, length) array."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim not in (1, 2) or arr.shape[0] == 0:
+    arr = as_floats(value, what)
+    if arr.ndim not in (1, 2) or arr.size == 0:
         raise InputError(f"{what} must be a nonempty list of equal-length numeric vectors")
     return arr.reshape(arr.shape[0], -1)
 
@@ -177,13 +136,10 @@ def from_resources(power_vectors, reward_table: dict, probs=None) -> Model:
             raise InputError("field 'reward_table' rows must share one reward dimension")
         options.append(np.hstack([powers, rewards]))
     n = len(options)
-    try:
-        probs = np.full(n, 1.0 / n) if probs is None else np.asarray(probs, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError("field 'probs' must list one probability per state") from None
+    probs = np.full(n, 1.0 / n) if probs is None else as_floats(probs, "field 'probs'", ndim=1)
     zero = np.flatnonzero(~powers.any(axis=1))
     psi = [int(zero[0]) if zero.size else 0] * n
-    return build_model(list(reward_table), probs, options, psi=psi)
+    return Model(tuple(reward_table), probs, tuple(options), psi=psi)
 
 
 def sample_state(model: Model, u: float) -> int:
@@ -206,32 +162,18 @@ def model_from_dict(doc: dict) -> Model:
         raise InputError("model document must be a JSON object")
     if "power_vectors" in doc:
         return from_resources(doc["power_vectors"], doc.get("reward_table"), doc.get("probs"))
-    try:
-        m = int(doc["m"])
-    except KeyError:
-        raise InputError("missing field 'm'") from None
+    m = as_ints(doc.get("m"), "field 'm'", ndim=0)
     states = doc.get("states")
     if not isinstance(states, list) or not states:
         raise InputError("field 'states' must be a nonempty list")
     labels, probs, options = [], [], []
     for i, st in enumerate(states):
-        try:
-            labels.append(str(st["label"]))
-        except (KeyError, TypeError):
-            raise InputError(f"states[{i}].label is missing") from None
-        try:
-            probs.append(float(st["prob"]))
-        except (KeyError, TypeError, ValueError):
-            raise InputError(f"states[{i}].prob must be a number") from None
-        opts = st.get("options")
-        if not isinstance(opts, list):
-            raise InputError(f"states[{i}].options must be a list of vectors")
-        arr = np.asarray(opts, dtype=np.float64)
-        if arr.size and (arr.ndim != 2 or arr.shape[1] != m):
-            raise InputError(f"states[{i}].options must be vectors of length {m}")
-        options.append(arr.reshape(-1, m) if arr.size else np.zeros((0, m)))
-    bound = doc.get("bound")
-    return build_model(labels, probs, options, bound=None if bound is None else float(bound))
+        if not isinstance(st, dict) or "label" not in st:
+            raise InputError(f"states[{i}].label is missing")
+        labels.append(str(st["label"]))
+        probs.append(as_floats(st.get("prob"), f"states[{i}].prob", ndim=0))
+        options.append(st.get("options"))
+    return Model(tuple(labels), probs, tuple(options), bound=doc.get("bound"), m=m)
 
 
 def load_json(path, what: str):

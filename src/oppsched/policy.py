@@ -9,14 +9,13 @@ causality (later states never matter) hold by construction.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_floats, as_ints
 from .model import Model
 from .randomize import inverse_cdf
 from .region import RateRegion, TargetDecomposition, decompose
@@ -57,7 +56,7 @@ class RandomizedStationaryPolicy(Policy):
     def __post_init__(self):
         ws = []
         for s, w in enumerate(self.weights):
-            w = np.asarray(w, dtype=np.float64)
+            w = as_floats(w, f"weights[{s}]", ndim=1)
             if w.size == 0 or np.any(w < -1e-15):
                 raise InputError(f"weights[{s}] must be a nonempty nonnegative vector")
             if abs(float(w.sum()) - 1.0) > 1e-9:
@@ -195,13 +194,11 @@ def target_policy(region: RateRegion, x, tol: float = 1e-10) -> TargetPolicy:
 def deterministic_policy(model: Model, psi=None) -> DeterministicPolicy:
     """Always option psi[s] in state s; psi defaults to the model's
     certified fallback.  Integral floats such as 1.0 name option 1."""
-    psi = model.psi if psi is None else psi
-    if not (isinstance(psi, (list, tuple, np.ndarray)) and len(psi) == model.n_states
-            and all(isinstance(j, numbers.Real) and not isinstance(j, bool)
-                    and float(j).is_integer() for j in psi)):
+    psi = model.psi if psi is None else as_ints(psi, "field 'psi'", ndim=1)
+    if len(psi) != model.n_states:
         raise InputError("field 'psi' must list one integer option index per state")
     rows = []
-    for s, j in enumerate(map(int, psi)):
+    for s, j in enumerate(psi):
         if not 0 <= j < model.options[s].shape[0]:
             raise InputError(f"psi[{s}]={j} is not a valid option index")
         rows.append(np.eye(model.options[s].shape[0])[j])
@@ -219,20 +216,18 @@ def policy_from_dict(doc: dict, model: Model, region: RateRegion | None = None) 
         weights = doc.get("weights")
         if not isinstance(weights, list) or len(weights) != model.n_states:
             raise InputError("field 'weights' must list one simplex vector per state")
-        ws = []
-        for s, w in enumerate(weights):
-            w = np.asarray(w, dtype=np.float64)
+        policy = RandomizedStationaryPolicy(weights=tuple(weights))
+        for s, w in enumerate(policy.weights):
             if w.size != model.options[s].shape[0]:
                 raise InputError(f"weights[{s}] must have one entry per option")
-            ws.append(w)
-        return RandomizedStationaryPolicy(weights=tuple(ws))
+        return policy
     if kind == "target":
-        if "x" not in doc:
-            raise InputError("target policy needs field 'x'")
+        x = as_floats(doc.get("x"), "field 'x'")
+        tol = float(as_floats(doc.get("tol", 1e-10), "field 'tol'", ndim=0))
         from .region import rate_region
 
         reg = region if region is not None else rate_region(model)
-        return target_policy(reg, doc["x"], float(doc.get("tol", 1e-10)))
+        return target_policy(reg, x, tol)
     if kind == "maxweight":
         return MaxWeightPolicy()
     raise InputError(f"unknown policy kind {kind!r}")

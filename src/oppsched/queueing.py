@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_floats
 from .model import Model
 from .policy import MaxWeightPolicy
 from .randomize import MAX_SLOT, slot_uniforms
@@ -29,9 +29,9 @@ class DeterministicArrivals:
     rate: np.ndarray
 
     def __post_init__(self):
-        rate = np.asarray(self.rate, dtype=np.float64)
-        if np.any(rate < 0) or not np.all(np.isfinite(rate)):
-            raise InputError("arrival rates must be finite and nonnegative")
+        rate = as_floats(self.rate, "arrival field 'rate'", ndim=1)
+        if np.any(rate < 0):
+            raise InputError("arrival rates must be nonnegative")
         object.__setattr__(self, "rate", rate)
 
     def mean_rate(self) -> np.ndarray:
@@ -49,12 +49,10 @@ class BernoulliArrivals:
     batch: np.ndarray
 
     def __post_init__(self):
-        prob = np.asarray(self.prob, dtype=np.float64)
-        batch = np.asarray(self.batch, dtype=np.float64)
+        prob = as_floats(self.prob, "arrival field 'prob'")
+        batch = as_floats(self.batch, "arrival field 'batch'")
         if prob.ndim != 1 or prob.shape != batch.shape:
             raise InputError("arrival 'prob' and 'batch' must be vectors of equal length")
-        if not (np.all(np.isfinite(prob)) and np.all(np.isfinite(batch))):
-            raise InputError("arrival probabilities and batch sizes must be finite")
         if np.any(prob < 0) or np.any(prob > 1):
             raise InputError("arrival probabilities must lie in [0, 1]")
         if np.any(batch < 0):
@@ -84,17 +82,9 @@ def arrivals_from_dict(doc: dict):
         raise InputError("arrivals must be an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "deterministic":
-        if "rate" not in doc:
-            raise InputError("deterministic arrivals need field 'rate'")
-        return DeterministicArrivals(rate=np.asarray(doc["rate"], dtype=np.float64))
+        return DeterministicArrivals(rate=doc.get("rate"))
     if kind == "bernoulli":
-        try:
-            return BernoulliArrivals(
-                prob=np.asarray(doc["prob"], dtype=np.float64),
-                batch=np.asarray(doc["batch"], dtype=np.float64),
-            )
-        except KeyError as e:
-            raise InputError(f"bernoulli arrivals need field {e}") from None
+        return BernoulliArrivals(prob=doc.get("prob"), batch=doc.get("batch"))
     raise InputError(f"unknown arrivals kind {kind!r}")
 
 

@@ -123,9 +123,7 @@ def membership(region: RateRegion, x, tol: float = 1e-10) -> MembershipResult:
     if tol < _GAP_FLOOR and tol < res.value <= tol + 2.0 * _GAP_FLOOR:
         # Gap-certified but still above the requested squared distance:
         # keep iterating on the primal value alone.
-        res = geometry.frank_wolfe(
-            region.body, x, tol=0.0, f_stop=tol, on_cap="return"
-        )
+        res = geometry.frank_wolfe(region.body, x, tol=0.0, f_stop=tol)
     certificate = _certify(region, x, res, tol)
     dist = float(np.sqrt(max(res.value, 0.0)))
     return MembershipResult(certificate is None, dist, res.point, certificate)

@@ -9,11 +9,10 @@ with exact equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, MeasurabilityError
+from .errors import InputError, MeasurabilityError, as_floats
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,9 @@ class FiniteRV:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.space.size:
-            raise InputError(
-                f"expected {self.space.size} values, got {len(self.values)}"
-            )
-        values = tuple(float(v) for v in self.values)
-        if not all(math.isfinite(v) for v in values):
-            raise InputError("random variable values must be finite")
+        values = tuple(as_floats(self.values, "random variable values", ndim=1).tolist())
+        if len(values) != self.space.size:
+            raise InputError(f"expected {self.space.size} values, got {len(values)}")
         object.__setattr__(self, "values", values)
 
     def __call__(self, w: int) -> float:

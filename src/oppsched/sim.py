@@ -191,7 +191,7 @@ def write_trace_csv(trace: Trace, model: Model, path, report=None) -> None:
     -0.0 and 0.0).
     """
     m = model.m
-    labels = np.array(model.states.labels, dtype=object)
+    labels = np.array(model.labels, dtype=object)
     cp_strs = {}
     if report is not None:
         cp_strs = dict(zip(report.checkpoints.tolist(), map(repr, report.dists.tolist())))

@@ -1,11 +1,18 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oppsched.sim
 from oppsched import cli, queueing, randomize
+from oppsched import region as region_mod
 from oppsched.cli import main
+from oppsched.errors import MAX_MAGNITUDE, InputError, MembershipError
+from oppsched.model import model_from_dict
+from oppsched.policy import policy_from_dict
 from oppsched.region import membership
 
 
@@ -18,25 +25,30 @@ def refuse_call(*args, **kwargs):
     raise AssertionError("called before the inputs were checked")
 
 
+TWO_STATE_DOC = {
+    "m": 1,
+    "states": [
+        {"label": "s1", "prob": 0.5, "options": [[0.0], [1.0]]},
+        {"label": "s2", "prob": 0.5, "options": [[0.0], [2.0]]},
+    ],
+}
+
+SIMPLEX_DOC = {
+    "m": 2,
+    "states": [
+        {"label": "s", "prob": 1.0, "options": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+    ],
+}
+
+
 @pytest.fixture
 def two_state_doc():
-    return {
-        "m": 1,
-        "states": [
-            {"label": "s1", "prob": 0.5, "options": [[0.0], [1.0]]},
-            {"label": "s2", "prob": 0.5, "options": [[0.0], [2.0]]},
-        ],
-    }
+    return copy.deepcopy(TWO_STATE_DOC)
 
 
 @pytest.fixture
 def simplex_doc():
-    return {
-        "m": 2,
-        "states": [
-            {"label": "s", "prob": 1.0, "options": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
-        ],
-    }
+    return copy.deepcopy(SIMPLEX_DOC)
 
 
 class TestFactorCommand:
@@ -134,6 +146,154 @@ class TestRegionCommand:
         model = write_json(tmp_path / "m.json", {**RESOURCE_DOC, **patch})
         assert main(["region", "--model", model]) == 2
         assert f"'{field}" in capsys.readouterr().err
+
+
+# One valid document per kind that ``run_document`` and ``parse`` read.
+# Policies are read against TWO_STATE_DOC.
+DOCUMENTS = {
+    "model": TWO_STATE_DOC,
+    "resources": RESOURCE_DOC,
+    "randomized": {"kind": "randomized", "weights": [[0.5, 0.5], [0.5, 0.5]]},
+    "deterministic": {"kind": "deterministic", "psi": [0, 1]},
+    "target": {"kind": "target", "x": [0.75], "tol": 1e-10},
+    "rate": {**SIMPLEX_DOC, "arrivals": {"kind": "deterministic", "rate": [0.2, 0.2]}},
+    "bernoulli": {
+        **SIMPLEX_DOC,
+        "arrivals": {"kind": "bernoulli", "prob": [0.1, 0.2], "batch": [1.0, 1.0]},
+    },
+    "factor": {
+        "n": 4,
+        "partitions": [{"blocks": [[0, 1], [2, 3]]}, {"sets": [[0, 2]]}],
+        "rvs": [[1.0, 1.0, 2.0, 2.0]],
+        "deps": [[0]],
+    },
+}
+
+# One malformed document per case: the valid document it starts from, the
+# path of the field it replaces, the value put there, and the field the error
+# must name.  Each crashed with a traceback (exit 1) before document numbers
+# went through one reader.
+MALFORMED_DOCUMENTS = {
+    "m-string": ("model", ("m",), "x", "'m'"),
+    "ragged-options": ("model", ("states", 0, "options"), [[0], [1, 2]], "options"),
+    "string-option": ("model", ("states", 0, "options"), [["x"]], "options"),
+    "bound-string": ("model", ("bound",), "x", "'bound'"),
+    "string-weight": ("randomized", ("weights", 0), ["a", 1], "weights"),
+    "nested-weight": ("randomized", ("weights", 0), [[0.5], 0.5], "weights"),
+    "target-x-string": ("target", ("x",), "abc", "'x'"),
+    "target-tol-string": ("target", ("tol",), "x", "'tol'"),
+    "rate-string": ("rate", ("arrivals", "rate"), ["x", 1], "'rate'"),
+    "ragged-prob": ("bernoulli", ("arrivals", "prob"), [[0.1], 0.2], "'prob'"),
+    "rv-string": ("factor", ("rvs", 0), ["a", 1], "rvs"),
+    "blocks-number": ("factor", ("partitions", 0), {"blocks": 5}, "blocks"),
+    "deps-string": ("factor", ("deps",), ["x"], "deps"),
+    "sets-string": ("factor", ("partitions", 0), {"sets": [["x"]]}, "sets"),
+    "rv-number": ("factor", ("rvs",), [5], "rvs"),
+}
+
+# Every numeric field of the valid documents, by the path that reaches it.
+NUMERIC_FIELDS = {
+    "model": [("m",), ("bound",), ("states", 0, "prob"), ("states", 1, "options"),
+              ("states", 1, "options", 1), ("states", 1, "options", 1, 0)],
+    "resources": [("power_vectors",), ("power_vectors", 1, 0), ("reward_table", "hi"),
+                  ("reward_table", "hi", 1, 0), ("probs",)],
+    "randomized": [("weights",), ("weights", 1), ("weights", 1, 0)],
+    "deterministic": [("psi",), ("psi", 1)],
+    "target": [("x",), ("x", 0), ("tol",)],
+    "rate": [("arrivals", "rate"), ("arrivals", "rate", 0)],
+    "bernoulli": [("arrivals", "prob"), ("arrivals", "prob", 1), ("arrivals", "batch"),
+                  ("arrivals", "batch", 0)],
+    "factor": [("n",), ("rvs",), ("rvs", 0), ("rvs", 0, 2), ("partitions", 0, "blocks"),
+               ("partitions", 0, "blocks", 1), ("partitions", 0, "blocks", 1, 0),
+               ("partitions", 1, "sets", 0, 1), ("deps",), ("deps", 0), ("deps", 0, 0)],
+}
+
+# Numbers at and past the reader's magnitude cap, and the smallest float,
+# come up far more often than st.floats alone offers them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([MAX_MAGNITUDE, -MAX_MAGNITUDE, 1e151, 1e308, 5e-324]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def replaced(doc, path, value):
+    """A deep copy of doc with the field at path set to value."""
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+def run_document(tmp_dir, kind, doc):
+    """Exit code of the command that reads a document of this kind."""
+    path = write_json(tmp_dir / f"{kind}.json", doc)
+    out = str(tmp_dir / "out")
+    if kind in ("model", "resources"):
+        return main(["region", "--model", path, "--dirs", "4", "--out", out])
+    if kind in ("randomized", "deterministic", "target"):
+        model = write_json(tmp_dir / "model.json", TWO_STATE_DOC)
+        return main(["simulate", "--model", model, "--policy", path, "--horizon", "100",
+                     "--out", out, "--quiet"])
+    if kind in ("rate", "bernoulli"):
+        return main(["queue", "--model", path, "--horizon", "1000", "--out", out])
+    return main(["factor", path, "--out", out])
+
+
+def parse(tmp_dir, kind, doc):
+    """Hand a document to the parser of its kind (to the whole command for a
+    factor spec, which has no parser of its own), and use what it returns."""
+    if kind in ("model", "resources"):
+        model = model_from_dict(doc)
+        region_mod.lmo(region_mod.rate_region(model), np.ones(model.m))
+    elif kind in ("randomized", "deterministic", "target"):
+        model = model_from_dict(TWO_STATE_DOC)
+        policy_from_dict(doc, model).slot_mean(model)
+    elif kind in ("rate", "bernoulli"):
+        queueing.arrivals_from_dict(doc["arrivals"]).mean_rate()
+    else:
+        assert run_document(tmp_dir, kind, doc) in (0, 2)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("kind, path, value, field", MALFORMED_DOCUMENTS.values(),
+                             ids=list(MALFORMED_DOCUMENTS))
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, kind, path, value, field):
+        assert run_document(tmp_path, kind, replaced(DOCUMENTS[kind], path, value)) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(DOCUMENTS))
+    def test_valid_documents_pass(self, tmp_path, kind):
+        assert run_document(tmp_path, kind, DOCUMENTS[kind]) == 0
+
+    def test_integral_float_m_accepted(self):
+        doc = {"m": 2.0, "states": [{"label": "s", "prob": 1.0, "options": [[1.0, 0.0]]}]}
+        assert model_from_dict(doc).m == 2
+
+    def test_vector_options_need_a_list_of_vectors(self):
+        doc = {"m": 2, "states": [{"label": "s", "prob": 1.0, "options": [1.0, 0.0]}]}
+        with pytest.raises(InputError, match=r"states\[0\].options"):
+            model_from_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from([(k, p) for k, ps in NUMERIC_FIELDS.items() for p in ps]),
+           value=JSON_VALUES)
+    def test_parsers_return_or_raise_input_error(self, tmp_path_factory, field, value):
+        # Any JSON value in any numeric field: the parser returns an object
+        # that works or refuses the document with InputError, never another
+        # exception.
+        kind, path = field
+        try:
+            parse(tmp_path_factory.mktemp("fuzz"), kind, replaced(DOCUMENTS[kind], path, value))
+        except InputError:
+            pass
+        except MembershipError:
+            # A target outside the region is refused with its certificate.
+            assert kind == "target"
 
 
 class TestSimulateCommand:

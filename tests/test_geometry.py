@@ -17,6 +17,8 @@ from oppsched import (
     outer_halfspaces,
     rate_region,
     support,
+    target_policy,
+    verify_conditional_membership,
 )
 from oppsched import geometry
 from oppsched.errors import ConvergenceError, InputError
@@ -129,9 +131,11 @@ class TestProject:
                     assert margin > 1e-6
 
     def test_iteration_cap_raises_with_gap(self, monkeypatch):
+        # An interior point needs all three vertices; one iteration and one
+        # min-norm-point cycle hold only two of them.
         monkeypatch.setattr(geometry, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc:
-            frank_wolfe(triangle_body(), [2.0, 1.1], tol=1e-16)
+            frank_wolfe(triangle_body(), [0.2, 0.3], tol=1e-16)
         assert exc.value.gap > 0
 
 
@@ -160,11 +164,17 @@ def nnls_sq_dist(pts, x):
 
 
 # Reproducers of away-step stalls: generators that nearly coincide, option
-# segments that are nearly parallel.
+# segments that are nearly parallel.  Each ran all 100,000 Frank-Wolfe
+# iterations of the former cap, 3-6 s, before min-norm-point finished it.
 STALL_A = build_model(
     ["s0", "s1", "s2", "s3"], [0.0226, 0.3628, 0.2978, 0.3168],
     [[[-0.75, 0.25], [-0.5, 0.25], [1.0, -0.5]], [[-0.25, 0.25]], [[0.0, -0.75]],
      [[-0.75, -0.5], [0.25, -1.0]]],
+)
+STALL_B = build_model(
+    ["s0", "s1"], [0.5884, 0.4116],
+    [[[-1.0, -0.75, 0.25, -0.75], [-0.25, 0.75, -0.5, 0.5], [1.0, 0.5, 0.25, -1.0]],
+     [[-0.25, 0.25, -1.0, 0.5], [0.0, 0.75, 1.0, -1.0], [1.0, 0.25, -0.75, -0.5]]],
 )
 STALL_C = build_model(
     ["s0", "s1", "s2", "s3"], [0.2916, 0.3380, 0.1979, 0.1725],
@@ -177,26 +187,38 @@ STALL_C = build_model(
 
 class TestMinNormPointFallback:
     """Projections that away steps cannot finish within ``MAX_ITER``
-    iterations are finished by min-norm-point cycles.  A small cap makes the
-    fallback do the work here."""
+    iterations are finished by min-norm-point cycles.  The reproducers run
+    at the shipped cap; the property test shrinks it so that the fallback
+    does the work."""
 
     @pytest.mark.parametrize("x", [[-0.0784, 0.3326, 0.2982], [-0.0862, 0.6367, 0.0046]])
-    def test_outside_stall_matches_explicit_hull(self, monkeypatch, x):
-        monkeypatch.setattr(geometry, "MAX_ITER", 2000)
+    def test_outside_stall_matches_explicit_hull(self, x):
         res = membership(rate_region(STALL_C), x)
         ref = nnls_sq_dist(enumerate_generators(rate_region(STALL_C)), np.array(x))
         assert not res.inside
         assert abs(res.dist**2 - ref) <= 1e-8
 
-    def test_inside_stall_decomposes(self, monkeypatch):
-        monkeypatch.setattr(geometry, "MAX_ITER", 2000)
+    def test_inside_stall_decomposes(self):
         dec = decompose(rate_region(STALL_A), [-0.1596, -0.3756])
         assert dec.residual <= 1e-5
         assert np.linalg.norm(dec.mean(STALL_A) - [-0.1596, -0.3756]) <= 1e-5
 
-    def test_dominance_stall(self, monkeypatch):
+    def test_held_atom_ends_with_the_affine_minimizer(self, monkeypatch):
+        # After one iteration the corral is the edge from (1, 0) to (0, 1),
+        # and the LMO offers (1, 0) again: the edge's nearest point is the
+        # projection, and no longer a ConvergenceError.
+        monkeypatch.setattr(geometry, "MAX_ITER", 1)
+        res = frank_wolfe(triangle_body(), [2.0, 1.1], tol=1e-16)
+        assert np.allclose(res.point, [0.95, 0.05], rtol=0, atol=1e-15)
+        assert abs(res.value - 2 * 1.05**2) <= 1e-14
+
+    def test_conditional_verifier_stall(self):
+        region = rate_region(STALL_B)
+        policy = target_policy(region, [0.2195, 0.5741, -0.0706, -0.2964])
+        assert verify_conditional_membership(STALL_B, policy, 3, region=region).passed
+
+    def test_dominance_stall(self):
         # A point dominated by the region, on which the shortfall solve stalled.
-        monkeypatch.setattr(geometry, "MAX_ITER", 2000)
         model = build_model(
             ["a", "b"], [0.5761233317696896, 0.42387666823031034],
             [[[0.27286072056941624, 0.16688081356095896]],

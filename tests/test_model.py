@@ -43,6 +43,13 @@ class TestValidate:
         with pytest.raises(InputError, match="'b' has no options"):
             build_model(["a", "b"], [0.5, 0.5], [[[1.0]], np.zeros((0, 1))])
 
+    @pytest.mark.parametrize("options", [[], [[], []]], ids=["no-vectors", "empty-vectors"])
+    def test_empty_option_lists_in_a_document_name_the_state(self, options):
+        doc = {"m": 1, "states": [{"label": "a", "prob": 0.5, "options": [[1.0]]},
+                                  {"label": "b", "prob": 0.5, "options": options}]}
+        with pytest.raises(InputError, match="'b' has no options"):
+            model_from_dict(doc)
+
     def test_unnormalized_probabilities(self):
         with pytest.raises(InputError, match="sum to"):
             build_model(["a", "b"], [0.5, 0.4], [[[1.0]], [[2.0]]])
@@ -151,7 +158,7 @@ class TestJsonSchema:
         path.write_text(json.dumps(doc))
         model = model_from_json(path)
         assert model.m == two_state_model.m
-        assert model.states.labels == two_state_model.states.labels
+        assert model.labels == two_state_model.labels
         for a, b in zip(model.options, two_state_model.options):
             assert np.array_equal(a, b)
 

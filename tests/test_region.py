@@ -125,7 +125,7 @@ class TestSupportConsistency:
             extra = rng.uniform(-1, 1, size=(1, model.m))
             grown_options[s] = np.vstack([grown_options[s], extra])
             grown = rate_region(
-                build_model(model.states.labels, model.probs, grown_options)
+                build_model(model.labels, model.probs, grown_options)
             )
             for _ in range(20):
                 d = rng.standard_normal(model.m)

@@ -229,7 +229,7 @@ class TestMeanMembership:
         # the always-serve estimate near 1.5 lies about 0.75 outside: beyond
         # the margin 3*D/sqrt(R) = 0.19 (D = 2, R = 1000), within ten margins.
         half = build_model(
-            two_state_model.states.labels,
+            two_state_model.labels,
             two_state_model.probs,
             [0.5 * opts for opts in two_state_model.options],
         )
