@@ -73,7 +73,7 @@ class ConvergenceError(RuntimeError):
         super().__init__(f"{message} (last duality gap {gap:.3e})")
 
 
-class MembershipError(ValueError):
+class MembershipError(InputError):
     """A target point lies outside the rate region; carries the separating certificate."""
 
     def __init__(self, point, certificate):

@@ -18,15 +18,16 @@ import numpy as np
 from .errors import InputError, as_floats, as_ints
 from .model import Model
 from .randomize import inverse_cdf
-from .region import RateRegion, TargetDecomposition, decompose
+from .region import RateRegion, decompose
 
 
 class Policy:
-    """Base decision rule; subclasses implement ``select``."""
+    """Base decision rule; subclasses implement ``select`` and
+    ``choices_vector``."""
 
     uses_randomness = True  # whether the slot uniform influences decisions
-    # Whether the rule reads only (current state, slot uniform); such rules
-    # define choices_vector, and slot_mean ignores the prefix and the backlog.
+    # Whether the rule reads only (current state, slot uniform); slot_mean
+    # then ignores the prefix and the backlog.
     stationary = False
 
     def select(self, model: Model, states, u: float, queue=None) -> tuple[int, bool]:
@@ -35,6 +36,11 @@ class Policy:
         ``states`` is the observed state-index prefix; only the last entry
         and earlier ones may be read, never anything beyond.
         """
+        raise NotImplementedError
+
+    def choices_vector(self, model: Model, states, us, arrivals=None):
+        """``select`` over B runs at once: (B, K) option indices and fallback
+        flags from (B, K) states and uniforms and (B, K, m) arrivals or None."""
         raise NotImplementedError
 
     def slot_mean(self, model: Model, prefix=(), queue=None) -> np.ndarray:
@@ -72,14 +78,12 @@ class RandomizedStationaryPolicy(Policy):
     def select(self, model, states, u, queue=None):
         return int(inverse_cdf(self.weights[states[-1]], u)), False
 
-    def choices_vector(self, model, states, us):
-        """All slot choices at once, from the states and slot uniforms."""
-        out = np.zeros(states.size, dtype=np.int64)
+    def choices_vector(self, model, states, us, arrivals=None):
+        choices = np.zeros(states.shape, dtype=np.int64)
         for s, w in enumerate(self.weights):
             mask = states == s
-            if np.any(mask):
-                out[mask] = inverse_cdf(w, us[mask])
-        return out
+            choices[mask] = inverse_cdf(w, us[mask])
+        return choices, np.zeros(states.shape, dtype=bool)
 
     def slot_mean(self, model, prefix=(), queue=None):
         return model.stationary_mean(self.weights)
@@ -95,11 +99,8 @@ class DeterministicPolicy(RandomizedStationaryPolicy):
         return "deterministic"
 
 
-@dataclass(frozen=True)
 class TargetPolicy(RandomizedStationaryPolicy):
     """Randomized stationary rule whose per-slot mean hits a chosen target."""
-
-    decomposition: TargetDecomposition = None
 
     def kind(self):
         return "target"
@@ -112,10 +113,20 @@ class MaxWeightPolicy(Policy):
     uses_randomness = False
 
     def select(self, model, states, u, queue=None):
-        # The backlog comes from the slot engine, which keeps it a
-        # nonnegative length-m vector; the bare argmax keeps the per-slot
-        # loop cheap.
+        # Its callers keep the backlog a nonnegative length-m vector; the bare
+        # argmax keeps the per-slot loop cheap.
         return int(np.argmax(model.options[states[-1]] @ queue)), False
+
+    def choices_vector(self, model, states, us, arrivals=None):
+        # Slot by slot: each choice reads the backlog the earlier ones left.
+        choices = np.empty(states.shape, dtype=np.int64)
+        for r, row in enumerate(states.tolist()):
+            queue = np.zeros(model.m)
+            for k, s in enumerate(row):
+                choices[r, k] = j = self.select(model, [s], None, queue)[0]
+                if arrivals is not None:
+                    queue = np.maximum(queue + arrivals[r, k] - model.options[s][j], 0.0)
+        return choices, np.zeros(states.shape, dtype=bool)
 
     def slot_mean(self, model, prefix=(), queue=None):
         q = np.zeros(model.m) if queue is None else np.asarray(queue, dtype=np.float64)
@@ -155,14 +166,22 @@ class CustomPolicy(Policy):
 
     def select(self, model, states, u, queue=None):
         level = min(int(u * self.levels), self.levels - 1)
-        # A prefix longer than every key matches none; skip copying it.
-        entry = None
-        if len(states) <= self._longest_prefix:
-            entry = self.table.get((tuple(states), level))
+        entry = self.table.get((tuple(states), level))
         s = states[-1]
         if entry is None or not (0 <= entry < model.options[s].shape[0]):
             return self.psi[s], True
         return entry, False
+
+    def choices_vector(self, model, states, us, arrivals=None):
+        # Past the longest table key no key matches, so those slots fall back
+        # to psi at once; only the slots before go through select.
+        choices = np.asarray(self.psi, dtype=np.int64)[states]
+        fallbacks = np.ones(states.shape, dtype=bool)
+        n = self._longest_prefix
+        for r, (row, u_row) in enumerate(zip(states[:, :n].tolist(), us[:, :n].tolist())):
+            for k, u in enumerate(u_row):
+                choices[r, k], fallbacks[r, k] = self.select(model, row[: k + 1], u)
+        return choices, fallbacks
 
     def slot_mean(self, model, prefix=(), queue=None):
         out = np.zeros(model.m)
@@ -187,8 +206,7 @@ def target_policy(region: RateRegion, x, tol: float = 1e-10) -> TargetPolicy:
     """Stationary randomized policy whose exact per-slot mean is x (within
     the decomposition residual).  Raises with a separating certificate when
     x is not achievable."""
-    decomposition = decompose(region, x, tol)
-    return TargetPolicy(weights=decomposition.weights, decomposition=decomposition)
+    return TargetPolicy(weights=decompose(region, x, tol).weights)
 
 
 def deterministic_policy(model: Model, psi=None) -> DeterministicPolicy:

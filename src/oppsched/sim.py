@@ -84,7 +84,7 @@ def run(model: Model, policy: Policy, horizon: int, seed: int, *, arrivals=None)
         states=states[0],
         choices=choices[0],
         x=xs[0],
-        averages=_running_averages(xs[0]),
+        averages=_scan(_averages, xs[0]),
         fallbacks=fallbacks[0],
         queues=None if queues is None else queues[0],
         arrivals=None if arrival_rows is None else arrival_rows[0],
@@ -99,10 +99,8 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
     backlogs, each with a leading axis over the seeds (arrivals and backlogs
     are None without arrivals).  Each stream (states, policy, arrivals) is
     drawn for every (seed, slot) pair with one call, under the child seeds
-    of all seeds at once.  Rules that declare ``stationary`` are evaluated
-    for all slots at once; rules that read the history or the backlog, and
-    every run with arrivals, go slot by slot with a backlog that stays zero
-    without arrivals.
+    of all seeds at once; the policy then chooses the whole (seeds x slots)
+    table with one ``choices_vector`` call.
     """
     if not 1 <= horizon <= MAX_SLOT:
         raise InputError(f"horizon must lie in [1, {MAX_SLOT}], got {horizon}")
@@ -119,64 +117,47 @@ def _advance(model: Model, policy: Policy, horizon: int, seeds, arrivals):
     arrival_rows = (None if arrivals is None
                     else arrivals.sample_all(horizon, m, child_seeds(seeds, "arrivals")))
 
-    options = model.options
-    counts = [arr.shape[0] for arr in options]
-    fallbacks = np.zeros((b, horizon), dtype=bool)
-    if policy.stationary and arrivals is None:
-        choices = policy.choices_vector(model, states.ravel(), u_policy.ravel())
-        choices = choices.reshape(b, horizon)
-        bad = (choices < 0) | (choices >= np.asarray(counts)[states])
-        if np.any(bad):
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            raise InputError(
-                f"policy produced invalid option {int(choices[at])} "
-                f"in state {int(states[at])}"
-            )
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-        xs = np.vstack(options)[offsets[states] + choices]
-        return states, choices, xs, fallbacks, None, None
-
-    choices = np.empty((b, horizon), dtype=np.int64)
-    xs = np.empty((b, horizon, m))
-    queues = None if arrivals is None else np.empty((b, horizon, m))
-    for r in range(b):
-        queue = np.zeros(m)
-        prefix: list[int] = []
-        u_list = u_policy[r].tolist()
-        for k, s in enumerate(states[r].tolist()):
-            prefix.append(s)
-            idx, fb = policy.select(model, prefix, u_list[k], queue)
-            if not 0 <= idx < counts[s]:
-                raise InputError(f"policy produced invalid option {idx} in state {s}")
-            x = options[s][idx]
-            choices[r, k] = idx
-            xs[r, k] = x
-            fallbacks[r, k] = fb
-            if arrivals is not None:
-                queue = np.maximum(queue + arrival_rows[r, k] - x, 0.0)
-                queues[r, k] = queue
+    choices, fallbacks = policy.choices_vector(model, states, u_policy, arrival_rows)
+    counts = np.array([arr.shape[0] for arr in model.options])
+    bad = (choices < 0) | (choices >= counts[states])
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InputError(f"policy produced invalid option {int(choices[at])} "
+                         f"in state {int(states[at])}")
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+    xs = np.vstack(model.options)[offsets[states] + choices]
+    queues = None if arrivals is None else _scan(_backlogs, arrival_rows, xs)
     return states, choices, xs, fallbacks, arrival_rows, queues
 
 
-def _running_averages(xs: np.ndarray) -> np.ndarray:
-    """Exact recursion A_k = A_{k-1} + (x_k - A_{k-1})/k, columnwise.
-
-    Scalar float and vector float64 arithmetic round identically, so this
-    matches the slot-by-slot vector recursion bit for bit.
-    """
-    horizon, m = xs.shape
-    out = np.empty((horizon, m))
-    for c in range(m):
-        out[:, c] = np.fromiter(_recursion(xs[:, c].tolist()), np.float64, horizon)
+def _scan(recursion, *arrays):
+    """``recursion`` down the slot axis (the second to last) of each column
+    of the equal-shape arrays, in Python floats: they round as float64 vector
+    arithmetic does, so this matches the slot-by-slot recursion bit for bit."""
+    out = np.empty(arrays[0].shape)
+    horizon = out.shape[-2]
+    for idx in np.ndindex(out.shape[:-2] + out.shape[-1:]):
+        col = (*idx[:-1], slice(None), idx[-1])
+        out[col] = np.fromiter(recursion(*(a[col].tolist() for a in arrays)), np.float64, horizon)
     return out
 
 
-def _recursion(col):
-    """The running averages of one column, as Python floats."""
+def _averages(xs):
+    """Running averages A_k = A_{k-1} + (x_k - A_{k-1})/k."""
     acc = 0.0
-    for k, x in enumerate(col, 1):
+    for k, x in enumerate(xs, 1):
         acc = acc + (x - acc) / k
         yield acc
+
+
+def _backlogs(arrivals, xs):
+    """Backlogs Q_k = max(Q_{k-1} + a_k - x_k, 0) from an empty queue."""
+    q = 0.0
+    for a, x in zip(arrivals, xs):
+        q = q + a - x
+        # np.maximum(q, 0.0) in a scalar: -0.0 becomes 0.0, as there.
+        q = q if q > 0.0 else 0.0
+        yield q
 
 
 def write_trace_csv(trace: Trace, model: Model, path, report=None) -> None:
@@ -268,11 +249,11 @@ def verify_mean_membership(
     if slot < 1:
         raise InputError("slot must be >= 1")
     reg = region if region is not None else rate_region(model)
-    seeds = child_seeds(seed, [f"rep-{r}" for r in range(replications)])
     total = np.zeros(model.m)
     group = max(1, _ENGINE_SLOTS // slot)
     for lo in range(0, replications, group):
-        xs = _advance(model, policy, slot, seeds[lo : lo + group], arrivals)[2]
+        tags = [f"rep-{r}" for r in range(lo, min(lo + group, replications))]
+        xs = _advance(model, policy, slot, child_seeds(seed, tags), arrivals)[2]
         # A running sum in replication order, as separate runs would sum.
         total = np.cumsum(np.vstack([total, xs[:, slot - 1]]), axis=0)[-1]
     estimate = total / replications

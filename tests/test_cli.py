@@ -10,7 +10,7 @@ import oppsched.sim
 from oppsched import cli, queueing, randomize
 from oppsched import region as region_mod
 from oppsched.cli import main
-from oppsched.errors import MAX_MAGNITUDE, InputError, MembershipError
+from oppsched.errors import MAX_MAGNITUDE, InputError
 from oppsched.model import model_from_dict
 from oppsched.policy import policy_from_dict
 from oppsched.region import membership
@@ -291,9 +291,6 @@ class TestMalformedDocuments:
             parse(tmp_path_factory.mktemp("fuzz"), kind, replaced(DOCUMENTS[kind], path, value))
         except InputError:
             pass
-        except MembershipError:
-            # A target outside the region is refused with its certificate.
-            assert kind == "target"
 
 
 class TestSimulateCommand:
@@ -330,6 +327,15 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "one.report.json").read_text())
         assert report["insufficient_horizon"]
         assert len((tmp_path / "one.trace.csv").read_text().splitlines()) == 2
+
+    def test_target_outside_the_region_exits_2_with_its_certificate(
+            self, tmp_path, capsys, two_state_doc):
+        model = write_json(tmp_path / "m.json", two_state_doc)
+        policy = write_json(tmp_path / "p.json", {"kind": "target", "x": [5.0]})
+        code = main(["simulate", "--model", model, "--policy", policy,
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert "HalfSpace(a=[1.0], b=1.5)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 5])
     def test_early_checkpoints_bounded_at_their_slot(self, tmp_path, seed, two_state_doc):

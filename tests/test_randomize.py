@@ -289,16 +289,18 @@ class TestInverseCdf:
     def test_choices_vector_skips_zero_weight_option(self):
         model = build_model(["s"], [1.0], [[[0.0], [1.0]]])
         policy = RandomizedStationaryPolicy(weights=(np.array([0.0, 1.0]),))
-        chosen = policy.choices_vector(model, np.zeros(2, dtype=np.int64), np.array([0.0, 0.3]))
-        assert chosen.tolist() == [1, 1]
+        chosen, fallbacks = policy.choices_vector(
+            model, np.zeros((1, 2), dtype=np.int64), np.array([[0.0, 0.3]]))
+        assert chosen.tolist() == [[1, 1]] and not fallbacks.any()
 
     def test_option_draw_skips_trailing_zero_weight_option(self):
         # The row sums to 1 - 1e-10, inside the 1e-9 tolerance; a draw above
         # its mass must not land in the zero-weight cell after it.
         policy = RandomizedStationaryPolicy(weights=(np.array([0.5, 0.5 - 1e-10, 0.0]),))
         assert policy.select(None, [0], 1 - 5e-11) == (1, False)
-        chosen = policy.choices_vector(None, np.zeros(2, dtype=np.int64), np.array([0.75, 1 - 5e-11]))
-        assert chosen.tolist() == [1, 1]
+        chosen, _ = policy.choices_vector(
+            None, np.zeros((1, 2), dtype=np.int64), np.array([[0.75, 1 - 5e-11]]))
+        assert chosen.tolist() == [[1, 1]]
 
     def test_state_draw_skips_trailing_zero_probability_state(self):
         model = build_model(["a", "b", "z"], [0.5, 0.5 - 1e-13, 0.0], [[[0.0]], [[1.0]], [[0.5]]])

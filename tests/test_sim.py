@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 
+import oppsched.sim
+
 from oppsched import (
     CustomPolicy,
     MaxWeightPolicy,
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from oppsched import (
     BernoulliArrivals,
+    DeterministicArrivals,
     RandSource,
     randomize,
     sample_state,
@@ -294,6 +297,24 @@ class TestMeanMembershipReference:
         assert np.array_equal(report.estimate, total / reps)
 
 
+    def test_seeds_are_derived_one_engine_group_at_a_time(self, monkeypatch):
+        # Deriving every replication's seed up front held 114 MB at 1e6
+        # replications; one group's seeds at a time keep the arrays bounded.
+        model, policy, _ = _mean_cases()["randomized"]
+        want = verify_mean_membership(model, policy, replications=1000, slot=4, seed=5)
+        sizes = []
+        derive = oppsched.sim.child_seeds
+
+        def recording(seeds, tags):
+            sizes.append(1 if isinstance(tags, str) else len(tags))
+            return derive(seeds, tags)
+
+        monkeypatch.setattr(oppsched.sim, "_ENGINE_SLOTS", 64)
+        monkeypatch.setattr(oppsched.sim, "child_seeds", recording)
+        got = verify_mean_membership(model, policy, replications=1000, slot=4, seed=5)
+        assert max(sizes) <= 64 // 4
+        assert np.array_equal(got.estimate, want.estimate)
+
     def test_replications_split_across_engine_calls(self):
         # 1000 replications of 300 slots exceed one engine call's share.
         model, policy, _ = _mean_cases()["randomized"]
@@ -338,6 +359,115 @@ class TestBulkEngineReference:
             else:
                 assert np.array_equal(arrival_rows[r], trace.arrivals)
                 assert np.array_equal(queues[r], trace.queues)
+
+
+def scalar_replay(model, policy, horizon, seed, arrivals):
+    """``run``'s record rebuilt slot by slot from the scalar primitives: one
+    state uniform and one policy uniform per slot, and for Bernoulli arrivals
+    uniform (k-1)*m + c + 1 of the arrival stream for component c of slot k."""
+    root = RandSource(seed)
+    s_src, p_src, a_src = (root.stream(t) for t in ("states", "policy", "arrivals"))
+    m = model.m
+    prefix, queue, avg = [], np.zeros(m), np.zeros(m)
+    rec = {name: [] for name in ("states", "choices", "fallbacks", "x", "averages",
+                                 "arrivals", "queues")}
+    for k in range(1, horizon + 1):
+        s = sample_state(model, slot_uniform(s_src, k))
+        prefix.append(s)
+        u = slot_uniform(p_src, k) if policy.uses_randomness else 0.0
+        j, fb = policy.select(model, prefix, u, queue)
+        x = model.options[s][j]
+        avg = avg + (x - avg) / k
+        slot = {"states": s, "choices": j, "fallbacks": fb, "x": x, "averages": avg}
+        if arrivals is not None:
+            if isinstance(arrivals, BernoulliArrivals):
+                a = np.array([arrivals.batch[c] if slot_uniform(a_src, (k - 1) * m + c + 1)
+                              < arrivals.prob[c] else 0.0 for c in range(m)])
+            else:
+                a = arrivals.rate
+            queue = np.maximum(queue + a - x, 0.0)
+            slot.update(arrivals=a, queues=queue)
+        for name, value in slot.items():
+            rec[name].append(value)
+    return {name: np.array(rows) if rows else None for name, rows in rec.items()}
+
+
+def _replay_cases():
+    # Two states of unequal menus and non-dyadic options, so any change of
+    # option, order or rounding shows in the bytes.
+    model = build_model(["s1", "s2"], [0.4, 0.6],
+                        [[[0.9, 0.1], [0.2, 0.7], [0.0, 0.0]], [[0.5, 0.5], [1.3, 0.1]]])
+    weights = (np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.4]))
+    # Keys of one, two and three states, one naming an option that state 1
+    # does not have.  Every three-state prefix has keys on two of the three
+    # levels, so slot 3 reads the longest keys in most runs.
+    table = {((0,), 0): 1, ((1,), 1): 1, ((0, 1), 0): 0, ((1, 1), 1): 5}
+    table.update({(prefix, level): sum(prefix) % 2
+                  for prefix in itertools.product(range(2), repeat=3) for level in (0, 2)})
+    return model, {
+        "deterministic": deterministic_policy(model, psi=(1, 0)),
+        "randomized": RandomizedStationaryPolicy(weights=weights),
+        "target": target_policy(rate_region(model), model.stationary_mean(
+            (np.array([0.5, 0.1, 0.4]), np.array([0.3, 0.7])))),
+        "custom": CustomPolicy(table=table, levels=3, psi=(2, 0)),
+        "maxweight": MaxWeightPolicy(),
+    }
+
+
+REPLAY_ARRIVALS = {
+    "none": None,
+    "deterministic": DeterministicArrivals(np.array([0.3, 0.25])),
+    "bernoulli": BernoulliArrivals(prob=np.array([0.4, 0.3]), batch=np.array([0.7, 1.1])),
+}
+
+
+class TestScalarReplay:
+    """``run`` against the per-slot replay of its definition."""
+
+    @pytest.mark.parametrize("arrivals", list(REPLAY_ARRIVALS))
+    @pytest.mark.parametrize("kind", ["deterministic", "randomized", "target", "custom", "maxweight"])
+    @given(
+        seed=st.one_of(st.integers(-(2**66), -1), st.integers(0, 2**64 - 1),
+                       st.integers(2**64, 2**66)),
+        horizon=st.integers(randomize._ROWS - 8, randomize._ROWS + 24),
+    )
+    @settings(max_examples=3)
+    def test_run_matches_scalar_replay(self, kind, arrivals, seed, horizon):
+        # Horizons straddle the 512-row block of the uniform draws.
+        model, policies = _replay_cases()
+        policy, arr = policies[kind], REPLAY_ARRIVALS[arrivals]
+        trace = run(model, policy, horizon, seed, arrivals=arr)
+        want = scalar_replay(model, policy, horizon, seed, arr)
+        assert np.array_equal(trace.states, want["states"])
+        assert np.array_equal(trace.choices, want["choices"])
+        assert np.array_equal(trace.fallbacks, want["fallbacks"])
+        for name in ("x", "averages", "arrivals", "queues"):
+            got = getattr(trace, name)
+            assert (got is None) == (want[name] is None)
+            if got is not None:
+                assert got.tobytes() == want[name].tobytes(), name
+
+    def test_stationary_rule_with_arrivals_never_calls_select(self, monkeypatch):
+        model, policies = _replay_cases()
+        calls = []
+        monkeypatch.setattr(RandomizedStationaryPolicy, "select",
+                            lambda *args: calls.append(args) or (0, False))
+        run(model, policies["randomized"], 300, 3, arrivals=REPLAY_ARRIVALS["bernoulli"])
+        assert calls == []
+
+    def test_custom_rule_calls_select_only_within_its_longest_key(self, monkeypatch):
+        model, policies = _replay_cases()
+        policy = policies["custom"]
+        calls = []
+        select = CustomPolicy.select
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return select(self, *args, **kwargs)
+
+        monkeypatch.setattr(CustomPolicy, "select", counting)
+        _advance(model, policy, 300, [1, 2, 3], None)
+        assert len(calls) <= 3 * policy._longest_prefix
 
 
 class TestMaxWeightReplay:
