@@ -1,10 +1,10 @@
-"""Causal decision rules: observe states s_1..s_k, draw the slot uniform,
-pick an option index.
+"""Decision rules: observe states s_1..s_k, draw the slot uniform, pick an
+option index; ``slot_law`` is the rule's law of that pick given the past.
 
-Every policy here makes its slot-k choice from the observed state prefix and
-the slot-k uniform carved out of one upfront randomization source, so
-feasibility (the chosen index is always valid for the current state) and
-causality (later states never matter) hold by construction.
+``select`` sees only the state prefix, the slot uniform and the backlog, so it
+cannot read later states; ``choices_vector`` receives whole (seeds x slots)
+tables, and only for the built-in kinds do tests tie it to ``select``
+(``TestScalarReplay``).  Nothing yet audits a user subclass.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from .region import RateRegion, decompose
 
 
 class Policy:
-    """Base decision rule; subclasses implement ``select`` and
-    ``choices_vector``."""
+    """Base decision rule; subclasses implement ``select``,
+    ``choices_vector`` and ``slot_law``."""
 
     uses_randomness = True  # whether the slot uniform influences decisions
-    # Whether the rule reads only (current state, slot uniform); slot_mean
+    # Whether the rule reads only (current state, slot uniform); slot_law
     # then ignores the prefix and the backlog.
     stationary = False
 
@@ -43,9 +43,13 @@ class Policy:
         flags from (B, K) states and uniforms and (B, K, m) arrivals or None."""
         raise NotImplementedError
 
+    def slot_law(self, model: Model, prefix=(), queue=None):
+        """Law of the next choice given the past: one option-probability row per state."""
+        raise NotImplementedError
+
     def slot_mean(self, model: Model, prefix=(), queue=None) -> np.ndarray:
         """Exact expected decision vector for the next slot given the past."""
-        raise NotImplementedError
+        return model.stationary_mean(self.slot_law(model, prefix, queue))
 
     def kind(self) -> str:
         raise NotImplementedError
@@ -85,8 +89,8 @@ class RandomizedStationaryPolicy(Policy):
             choices[mask] = inverse_cdf(w, us[mask])
         return choices, np.zeros(states.shape, dtype=bool)
 
-    def slot_mean(self, model, prefix=(), queue=None):
-        return model.stationary_mean(self.weights)
+    def slot_law(self, model, prefix=(), queue=None):
+        return self.weights
 
     def kind(self):
         return "randomized"
@@ -128,14 +132,12 @@ class MaxWeightPolicy(Policy):
                     queue = np.maximum(queue + arrivals[r, k] - model.options[s][j], 0.0)
         return choices, np.zeros(states.shape, dtype=bool)
 
-    def slot_mean(self, model, prefix=(), queue=None):
-        q = np.zeros(model.m) if queue is None else np.asarray(queue, dtype=np.float64)
-        if np.any(q < 0):
-            raise InputError("queue weights must be nonnegative")
-        out = np.zeros(model.m)
-        for s in range(model.n_states):
-            out += model.probs[s] * model.options[s][self.select(model, [s], None, q)[0]]
-        return out
+    def slot_law(self, model, prefix=(), queue=None):
+        q = np.zeros(model.m) if queue is None else as_floats(queue, "queue", ndim=1)
+        if q.shape != (model.m,) or np.any(q < 0):
+            raise InputError(f"queue must be a nonnegative vector of m = {model.m} entries")
+        return [np.eye(opts.shape[0])[self.select(model, [s], None, q)[0]]
+                for s, opts in enumerate(model.options)]
 
     def kind(self):
         return "maxweight"
@@ -164,13 +166,16 @@ class CustomPolicy(Policy):
         """Length of the longest prefix among the table keys."""
         return max((len(prefix) for prefix, _ in self.table), default=0)
 
-    def select(self, model, states, u, queue=None):
-        level = min(int(u * self.levels), self.levels - 1)
-        entry = self.table.get((tuple(states), level))
-        s = states[-1]
+    def _lookup(self, model, key, level) -> tuple[int, bool]:
+        """Entry for (prefix ``key``, level), or psi flagged if it names no option."""
+        entry = self.table.get((key, level))
+        s = key[-1]
         if entry is None or not (0 <= entry < model.options[s].shape[0]):
             return self.psi[s], True
         return entry, False
+
+    def select(self, model, states, u, queue=None):
+        return self._lookup(model, tuple(states), min(int(u * self.levels), self.levels - 1))
 
     def choices_vector(self, model, states, us, arrivals=None):
         # Past the longest table key no key matches, so those slots fall back
@@ -183,20 +188,16 @@ class CustomPolicy(Policy):
                 choices[r, k], fallbacks[r, k] = self.select(model, row[: k + 1], u)
         return choices, fallbacks
 
-    def slot_mean(self, model, prefix=(), queue=None):
-        out = np.zeros(model.m)
-        # Keys are one state longer than the prefix; past the longest table
-        # key none can match, so every level falls back without a lookup.
+    def slot_law(self, model, prefix=(), queue=None):
+        # Level frequencies.  Past the longest table key no key matches, so
+        # every level falls back to psi without a lookup.
         keys = tuple(prefix) if len(prefix) < self._longest_prefix else None
-        for s in range(model.n_states):
-            acc = np.zeros(model.m)
-            for level in range(self.levels):
-                entry = None if keys is None else self.table.get((keys + (s,), level))
-                if entry is None or not (0 <= entry < model.options[s].shape[0]):
-                    entry = self.psi[s]
-                acc += model.options[s][entry]
-            out += model.probs[s] * (acc / self.levels)
-        return out
+        law = []
+        for s, opts in enumerate(model.options):
+            picks = [self.psi[s] if keys is None else self._lookup(model, keys + (s,), v)[0]
+                     for v in range(self.levels)]
+            law.append(np.bincount(picks, minlength=opts.shape[0]) / self.levels)
+        return law
 
     def kind(self):
         return "custom"

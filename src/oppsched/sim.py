@@ -1,12 +1,11 @@
 """Slot-by-slot simulation and the statistical/exact verifiers.
 
-A run draws i.i.d. states, lets the policy pick one option per slot from the
-observed prefix and its slot uniform, and records everything needed to replay
-or audit the run: per-slot decisions, the running average (computed by the
-exact recursion A_k = A_{k-1} + (x_k - A_{k-1})/k) and optional queue
-backlogs.  The record holds no verdicts: the verifiers judge it, and the
-convergence verifier computes the region distances at its checkpoint slots
-from the recorded averages.
+A run draws i.i.d. states and asks the policy for the whole (seeds x slots)
+choice table; the engine checks that each index names an option, not that a
+choice ignores later slots (tests tie the built-in kinds to ``select``).  The
+record holds decisions, running averages (A_k = A_{k-1} + (x_k - A_{k-1})/k)
+and optional backlogs, for replay or audit, and no verdicts: the verifiers
+judge it, the convergence verifier from the recorded averages.
 """
 
 from __future__ import annotations
@@ -355,12 +354,11 @@ def verify_conditional_membership(
 ) -> ConditionalMembershipReport:
     """Enumerate decision prefixes exactly and test each conditional mean.
 
-    Policies draw only the current slot's uniform, so conditioning on the
-    quantized-randomness path collapses to conditioning on the state prefix;
-    the conditional mean of the slot decision given a prefix is computed
-    exactly from the policy's weights.  Queue-aware rules are evaluated with
-    an empty backlog.  Prefixes that share a conditional mean (every prefix,
-    for a stationary rule) share one membership solve.
+    The conditional mean given a prefix is the exact mean of the rule's
+    ``slot_law``, whose agreement with the rule's choices is not checked
+    here (tests tie it to ``select`` for the built-in kinds).  Queue-aware
+    rules are evaluated with an empty backlog.  Prefixes that share a
+    conditional mean (every prefix, for a stationary rule) share one solve.
     """
     if slot < 1:
         raise InputError("slot must be >= 1")
@@ -408,8 +406,9 @@ class MartingaleCheck:
 def martingale_check(trace: Trace, model: Model, policy: Policy) -> MartingaleCheck:
     """Deviations x_k minus the policy's exact slot-k conditional mean.
 
-    Means come from the policy weights, never from estimates, so the partial
-    sums average a genuine zero-mean bounded sequence.
+    Means come from the rule's ``slot_law``, never from estimates, so the
+    partial sums average a zero-mean bounded sequence when the recorded
+    choices follow that law; this is not checked here.
     """
     if policy.stationary:
         diffs = trace.x - policy.slot_mean(model)

@@ -60,6 +60,14 @@ class TestMaxWeight:
         with pytest.raises(InputError, match="nonnegative"):
             MaxWeightPolicy().slot_mean(simplex_model, queue=np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("queue", [[np.nan, 5.0], [np.inf, 5.0], [1.0, 2.0, 3.0],
+                                       [[1.0, 2.0]]], ids=["nan", "inf", "length-3", "2-D"])
+    def test_malformed_backlog_rejected(self, simplex_model, queue):
+        # A nan backlog once picked option 0 silently, an infinite one warned,
+        # and a wrong shape reached the argmax.
+        with pytest.raises(InputError, match="queue"):
+            MaxWeightPolicy().slot_mean(simplex_model, queue=np.array(queue))
+
 
 class TestDecide:
     """The slot decision: ``select`` on the observed prefix and the slot uniform."""
@@ -241,9 +249,18 @@ class TestTargetPolicy:
 ONE_HOT_VALUES = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
 
 
+def scalar_mean(model, pick):
+    """Sum of p_s * options[s][pick(s)], one state at a time."""
+    ref = np.zeros(model.m)
+    for s in range(model.n_states):
+        ref = ref + model.probs[s] * model.options[s][pick(s)]
+    return ref
+
+
 class TestDeterministicOneHot:
     """A deterministic rule is the one-hot stationary rule, tied to the scalar
-    reference: option psi[s] in state s, mean sum of p_s * options[s][psi[s]]."""
+    reference: option psi[s] in state s, mean sum of p_s * options[s][psi[s]].
+    A max-weight rule's law is one-hot too, at ``select``'s option."""
 
     @given(seed=st.integers(0, 2**32 - 1), queued=st.booleans())
     def test_matches_scalar_reference(self, seed, queued):
@@ -266,16 +283,71 @@ class TestDeterministicOneHot:
         assert draws.call_count == 1
         assert trace.choices.tolist() == [psi[s] for s in trace.states.tolist()]
 
-        ref = np.zeros(m)
-        for s in range(n):
-            ref = ref + model.probs[s] * model.options[s][psi[s]]
-        assert policy.slot_mean(model).tobytes() == ref.tobytes()
+        assert policy.slot_mean(model).tobytes() == scalar_mean(model, psi.__getitem__).tobytes()
+        queue = rng.choice([0.0, 0.5, 1.0, 2.0], size=m)
+        mw = MaxWeightPolicy()
+        want = scalar_mean(model, lambda s: mw.select(model, [s], None, queue)[0])
+        assert mw.slot_mean(model, queue=queue).tobytes() == want.tobytes()
 
         vertex, _ = rate_region(model).body.lmo(rng.standard_normal(m))
         target = target_policy(rate_region(model), vertex)
         with mock.patch.object(sim, "slot_uniforms", wraps=sim.slot_uniforms) as draws:
             run(model, target, 200, run_seed, arrivals=arrivals)
         assert draws.call_count == 1
+
+
+def random_table(rng, n, levels, prefix):
+    """Up to 20 entries, some naming no option; half the keys extend
+    ``prefix`` by one state, so its lookups hit, the rest hold one to three
+    random states."""
+    table = {}
+    for _ in range(int(rng.integers(0, 20))):
+        key = (prefix + (int(rng.integers(n)),) if rng.random() < 0.5
+               else tuple(rng.integers(0, n, int(rng.integers(1, 4))).tolist()))
+        table[(key, int(rng.integers(levels)))] = int(rng.integers(-1, 5))
+    return table
+
+
+class TestSlotLaw:
+    """Each rule's ``slot_law`` against its own ``select``."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "randomized", "target", "custom", "maxweight"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_law_matches_select(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = random_small_model(rng)
+        n = model.n_states
+        weights = tuple(rng.dirichlet(np.ones(a.shape[0])) for a in model.options)
+        psi = tuple(int(rng.integers(a.shape[0])) for a in model.options)
+        prefix = tuple(rng.integers(0, n, int(rng.integers(0, 4))).tolist())
+        queue = rng.choice([0.0, 0.5, 1.0, 3.0], size=model.m)
+        levels = int(rng.integers(1, 9))  # k / levels * levels == k exactly below 22
+        policy = {
+            "deterministic": lambda: deterministic_policy(model, psi),
+            "randomized": lambda: RandomizedStationaryPolicy(weights=weights),
+            "target": lambda: target_policy(rate_region(model), model.stationary_mean(weights)),
+            "custom": lambda: CustomPolicy(table=random_table(rng, n, levels, prefix),
+                                           levels=levels, psi=psi),
+            "maxweight": MaxWeightPolicy,
+        }[kind]()
+        law = policy.slot_law(model, prefix, queue)
+
+        assert len(law) == n
+        for row, opts in zip(law, model.options):
+            assert row.shape == (opts.shape[0],)
+            assert np.all(row >= 0.0) and abs(row.sum() - 1.0) <= 1e-9
+        if policy.stationary:
+            assert law is policy.weights
+        for s, (row, opts) in enumerate(zip(law, model.options)):
+            if kind == "custom":
+                # select at the midpoint of each level cell.
+                picks = [policy.select(model, prefix + (s,), (v + 0.5) / levels)[0]
+                         for v in range(levels)]
+                counts = np.bincount(picks, minlength=opts.shape[0])
+                assert np.array_equal(row * levels, counts)
+            elif kind == "maxweight":
+                j = policy.select(model, [s], None, queue)[0]
+                assert np.array_equal(row, np.eye(opts.shape[0])[j])
 
 
 class TestWeightRows:

@@ -84,18 +84,19 @@ class DeclaredNonstationary(RandomizedStationaryPolicy):
 
 
 def ref_custom_slot_mean(policy, model, prefix):
-    """Look every (prefix + state, level) key up, however long the prefix."""
-    out = np.zeros(model.m)
+    """Look every (prefix + state, level) key up, however long the prefix,
+    and take the mean of the level frequencies."""
     prefix = tuple(prefix)
-    for s in range(model.n_states):
-        acc = np.zeros(model.m)
+    law = []
+    for s, opts in enumerate(model.options):
+        counts = np.zeros(opts.shape[0])
         for level in range(policy.levels):
             entry = policy.table.get((prefix + (s,), level))
-            if entry is None or not (0 <= entry < model.options[s].shape[0]):
+            if entry is None or not (0 <= entry < opts.shape[0]):
                 entry = policy.psi[s]
-            acc += model.options[s][entry]
-        out += model.probs[s] * (acc / policy.levels)
-    return out
+            counts[entry] += 1.0
+        law.append(counts / policy.levels)
+    return model.stationary_mean(law)
 
 
 class TestRun:
